@@ -2,9 +2,7 @@
    quarantine failures immediately, buffer the rest, and flush whole
    batches to the store on a size or age trigger. *)
 
-type payload = Arc of Gmon.t | Sampled of Gmon.Sprof.t
-
-type entry = { e_label : string; e_payload : payload }
+type entry = { e_label : string; e_payload : Store.payload }
 
 type t = {
   ing_store : Store.t;
@@ -88,10 +86,7 @@ let flush t =
         let appended =
           if Faultplane.store_fails () then
             Error "injected store fault: append refused"
-          else
-            match e.e_payload with
-            | Arc g -> Store.append t.ing_store ~label:e.e_label g
-            | Sampled sp -> Store.append_sprof t.ing_store ~label:e.e_label sp
+          else Store.append_payload t.ing_store ~label:e.e_label e.e_payload
         in
         match appended with
         | Ok () -> go (n + 1) rest
@@ -119,20 +114,12 @@ let submit t ~label bytes =
     Ok Shed
   end
   else
-    let decoded =
-      if Gmon.Sprof.sniff_bytes bytes then
-        Result.map
-          (fun (sp, _) -> Sampled sp)
-          (Gmon.Sprof.decode ~mode:`Strict bytes)
-      else Result.map (fun (g, _) -> Arc g) (Gmon.decode ~mode:`Strict bytes)
-    in
-    match decoded with
-    | Error e ->
+    match Store.decode_submission bytes with
+    | Error reason ->
       Obs.Metrics.incr m_quarantined;
-      let reason = Gmon.decode_error_to_string e in
       Result.map
-        (fun _ -> Quarantined reason)
-        (Store.append_bytes t.ing_store ~label bytes)
+        (fun () -> Quarantined reason)
+        (Store.quarantine_submission t.ing_store ~label ~reason bytes)
     | Ok payload ->
       Obs.Metrics.incr m_submitted;
       if t.buffer = [] then t.oldest <- Unix.gettimeofday ();

@@ -278,6 +278,51 @@ let merge_ticks_additive =
       | Ok m -> Gmon.total_ticks m = Gmon.total_ticks a + Gmon.total_ticks b
       | Error _ -> false)
 
+(* A checksum-valid file whose header promises far more data than its
+   body holds must be rejected without allocating what the header
+   claims: the body bounds every dense array in strict mode. *)
+let bytes_allocated f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+let sealed fields =
+  let buf = Buffer.create 96 in
+  List.iter
+    (function
+      | `S s -> Buffer.add_string buf s
+      | `I v -> Buffer.add_int64_le buf (Int64.of_int v))
+    fields;
+  Gmon.Wire.add_footer buf;
+  Buffer.contents buf
+
+let test_strict_alloc_bounded () =
+  let claimed = 1 lsl 24 in
+  let bytes =
+    sealed
+      [ `S "GMONOCAML1\n"; `I 0; `I claimed; `I 1; `I 100; `I 10; `I 1; `I claimed ]
+  in
+  check_int "crafted file size" 83 (String.length bytes);
+  let r, alloc = bytes_allocated (fun () -> Gmon.decode ~mode:`Strict bytes) in
+  (match r with
+  | Ok _ -> Alcotest.fail "an empty body cannot hold 2^24 buckets"
+  | Error e ->
+    Alcotest.(check string)
+      "error unchanged" "at byte 67: bucket 0: need 8 bytes, have 0 (file ends at 67)"
+      (Gmon.decode_error_to_string e));
+  check_bool
+    (Printf.sprintf "gmon decode allocated %.0f bytes, want < 1 MB" alloc)
+    true (alloc < 1e6);
+  (* one stack record claiming the maximum depth, with no frames *)
+  let sp =
+    sealed [ `S "SPROFOCAML1\n"; `I 1; `I 100; `I 10; `I 1; `I 1; `I 5; `I (1 lsl 20) ]
+  in
+  let r, alloc = bytes_allocated (fun () -> Gmon.Sprof.decode ~mode:`Strict sp) in
+  check_bool "sprof rejected" true (Result.is_error r);
+  check_bool
+    (Printf.sprintf "sprof decode allocated %.0f bytes, want < 1 MB" alloc)
+    true (alloc < 1e6)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "gmon"
@@ -295,6 +340,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip_hand;
           Alcotest.test_case "corrupt input" `Quick test_corrupt_bytes;
           Alcotest.test_case "save/load" `Quick test_save_load;
+          Alcotest.test_case "strict decode allocation bounded by the body"
+            `Quick test_strict_alloc_bounded;
           qt roundtrip_prop;
           qt generated_valid;
         ] );

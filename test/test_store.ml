@@ -352,6 +352,57 @@ let test_ingest_quarantine () =
   check_bool "merge unaffected by quarantine" true
     (Gmon.equal (sample 2) (merged_exn st))
 
+(* A rejected submission is decoded once at the door: its bytes are
+   counted once and one decode error is recorded, and the quarantine
+   sidecar carries the door's diagnostics. *)
+let test_ingest_reject_decoded_once () =
+  with_dir @@ fun dir ->
+  let st, _ = open_ok dir in
+  let q = Ingest.create st in
+  let counter name =
+    Option.value ~default:0 (Obs.Metrics.find_counter Obs.Metrics.default name)
+  in
+  let sp =
+    Gmon.Sprof.to_bytes
+      (Gmon.Sprof.of_folded ~sample_interval:1 ~ticks_per_second:60
+         ~cycles_per_tick:10 [ ([| 1; 2 |], 3) ])
+  in
+  List.iteri
+    (fun i (family, bytes, decode) ->
+      let label = Printf.sprintf "bad-%d" i in
+      let expected =
+        match decode bytes with
+        | Ok () -> Alcotest.fail "corrupt payload decoded"
+        | Error e -> e
+      in
+      let errors0 = counter (family ^ ".decode_errors") in
+      let read0 = counter (family ^ ".bytes_read") in
+      (match ok (Ingest.submit q ~label bytes) with
+      | Ingest.Quarantined reason ->
+        Alcotest.(check string) "reason" expected reason
+      | _ -> Alcotest.fail "corrupt submission not quarantined");
+      check_int (family ^ ".decode_errors delta") 1
+        (counter (family ^ ".decode_errors") - errors0);
+      check_int (family ^ ".bytes_read delta") (String.length bytes)
+        (counter (family ^ ".bytes_read") - read0);
+      let sidecar =
+        Filename.concat (Store.quarantine_dir st)
+          (Printf.sprintf "q-%06d.reason" (i + 1))
+      in
+      Alcotest.(check string) "sidecar"
+        (Printf.sprintf "origin: submission %s\nreason: %s\n" label expected)
+        (In_channel.with_open_bin sidecar In_channel.input_all))
+    [ ( "gmon",
+        String.sub (Gmon.to_bytes (sample 3)) 0 40,
+        fun b ->
+          Result.map (fun _ -> ()) (Gmon.decode ~mode:`Strict b)
+          |> Result.map_error Gmon.decode_error_to_string );
+      ( "sprof.codec",
+        String.sub sp 0 (String.length sp - 1),
+        fun b ->
+          Result.map (fun _ -> ()) (Gmon.Sprof.decode ~mode:`Strict b)
+          |> Result.map_error Gmon.decode_error_to_string ) ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -388,5 +439,7 @@ let () =
           Alcotest.test_case "age trigger" `Quick test_ingest_age_trigger;
           Alcotest.test_case "quarantine at the door" `Quick
             test_ingest_quarantine;
+          Alcotest.test_case "rejected submission decoded once" `Quick
+            test_ingest_reject_decoded_once;
         ] );
     ]
