@@ -106,7 +106,11 @@ let validate o =
       | Jump t | Jumpz t ->
         if not (inside_same_function t) then
           err "jump at %d targets %d outside its function" pc t
-      | Call (t, _) | Funref t ->
+      | Call (t, nargs) ->
+        if not (is_entry t) then
+          err "call/funref at %d targets %d which is not a function start" pc t;
+        if nargs < 0 then err "call at %d has negative argument count %d" pc nargs
+      | Funref t ->
         if not (is_entry t) then
           err "call/funref at %d targets %d which is not a function start" pc t
       | Gload g | Gstore g ->

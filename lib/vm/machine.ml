@@ -50,13 +50,6 @@ let pp_fault ppf f = Format.fprintf ppf "fault at pc %d: %s" f.fault_pc f.reason
 
 type status = Running | Halted | Faulted of fault
 
-type frame = {
-  ret_pc : int;
-  func_entry : int;
-  base : int; (* operand stack height when the frame was pushed *)
-  mutable locals : int array;
-}
-
 (* The epoch engine: cumulative counter values at the last boundary,
    against which each window's delta is computed. Baselines and
    entries live outside simulated time — taking a snapshot costs the
@@ -68,12 +61,34 @@ type epoch_state = {
   mutable ep_entries : Gmon.Epoch.entry list; (* newest first *)
 }
 
+(* Frames are flat: frame [d] occupies the [frame_words] words of
+   [frames] from [d * frame_words], holding its return address, its
+   function's entry, the operand-stack height when it was pushed, and
+   the base of its locals in [locals]. Locals of all live frames share
+   one array: only the innermost frame runs, so only it ever grows its
+   region (by [Enter]), which always ends at [lp]. Calls, returns and
+   prologues therefore allocate nothing once the arrays are warm. *)
+let frame_words = 4
+let fr_ret = 0
+let fr_func = 1
+let fr_base = 2
+let fr_locals = 3
+
 type t = {
   config : config;
   o : Objfile.t;
+  text : Instr.t array;
+  cost : int array; (* Instr.cost of every text word *)
+  entries : Bytes.t; (* '\001' at every function entry address *)
+  cycle_limit : int; (* max_cycles, or max_int when unlimited *)
   mutable pc : int;
-  stack : int Util.Growvec.t;
-  frames : frame Util.Growvec.t;
+  mutable stack : int array; (* operand stack, live below [sp] *)
+  mutable sp : int;
+  mutable frames : int array;
+  mutable depth : int; (* live frames *)
+  mutable locals : int array;
+  mutable lbase : int; (* the innermost frame's first local *)
+  mutable lp : int; (* one past the innermost frame's last local *)
   globals : int array;
   arrays : int array array;
   mutable cycles : int;
@@ -86,39 +101,55 @@ type t = {
   pcounts : int array;
   oracle : Oracle.t option;
   sampler : Stacksamp.t option;
-  icounts : int array option;
-  mutable n_instr : int;
-  dispatch : int array; (* per Instr.group execution counts *)
-  groups : int array;
-      (* Instr.group of every text word, precomputed at creation so
-         the metrics-on hot path is two array bumps, not a re-match of
-         the constructor per step. Empty when metrics are off. *)
+  icounts : int array;
+      (* execution count per text address, kept when either
+         count_instructions or metrics is on (empty otherwise): the
+         instruction total and the dispatch-group mix are folds of it,
+         so the loop pays one array bump for all three *)
   prng : Util.Prng.t;
   out : Buffer.t;
   mutable status : status;
   mutable result : int option;
-  mutable fault_countdown : int option;
-      (* decremented per instruction independently of the metrics
-         counters, so injection works with metrics off *)
+  mutable countdown : int;
+      (* instructions left before the injected fault (max_int when
+         none), decremented independently of the metrics counters so
+         injection works with metrics off *)
   epochs : epoch_state option;
 }
 
-let dummy_frame = { ret_pc = -1; func_entry = 0; base = 0; locals = [||] }
-
 let create ?(config = default_config) o =
-  let text_size = Array.length o.Objfile.text in
+  let text = o.Objfile.text in
+  let text_size = Array.length text in
   if text_size = 0 then invalid_arg "Machine.create: empty text segment";
   let profil =
     Profil.create ~lowpc:0 ~highpc:text_size ~bucket_size:config.hist_bucket_size
   in
   if not config.histogram then Profil.disable profil;
+  (* Only a symbol's start can be an entry, so one lookup per symbol
+     (not per text word) reproduces [func_id_of_addr] exactly, even
+     for a malformed table. *)
+  let entries = Bytes.make text_size '\000' in
+  Array.iter
+    (fun (s : Objfile.symbol) ->
+      if s.addr >= 0 && s.addr < text_size && Objfile.func_id_of_addr o s.addr <> None
+      then Bytes.set entries s.addr '\001')
+    o.symbols;
   let m =
     {
       config;
       o;
+      text;
+      cost = Array.map Instr.cost text;
+      entries;
+      cycle_limit = Option.value config.max_cycles ~default:max_int;
       pc = o.entry;
-      stack = Util.Growvec.create ~capacity:256 ~dummy:0 ();
-      frames = Util.Growvec.create ~capacity:64 ~dummy:dummy_frame ();
+      stack = Array.make 256 0;
+      sp = 0;
+      frames = Array.make (64 * frame_words) 0;
+      depth = 0;
+      locals = Array.make 256 0;
+      lbase = 0;
+      lp = 0;
       globals = Array.copy o.global_init;
       arrays = Array.map (fun (_, len) -> Array.make len 0) o.arrays;
       cycles = 0;
@@ -136,16 +167,13 @@ let create ?(config = default_config) o =
             Stacksamp.create ?capacity:config.stack_capacity ~interval:i ())
           config.stack_interval;
       icounts =
-        (if config.count_instructions then Some (Array.make text_size 0) else None);
-      n_instr = 0;
-      dispatch = Array.make Instr.n_groups 0;
-      groups =
-        (if config.metrics then Array.map Instr.group o.Objfile.text else [||]);
+        (if config.count_instructions || config.metrics then Array.make text_size 0
+         else [||]);
       prng = Util.Prng.create config.seed;
       out = Buffer.create 256;
       status = Running;
       result = None;
-      fault_countdown = config.fault_after_instr;
+      countdown = Option.value config.fault_after_instr ~default:max_int;
       epochs =
         (match config.epoch_ticks with
         | None -> None
@@ -166,8 +194,9 @@ let create ?(config = default_config) o =
   in
   (* The startup stub "calls" main: a frame with a sentinel return
      address, which the monitor will classify as spontaneous. *)
-  Util.Growvec.push m.frames
-    { ret_pc = -1; func_entry = o.entry; base = 0; locals = [||] };
+  m.frames.(fr_ret) <- -1;
+  m.frames.(fr_func) <- o.entry;
+  m.depth <- 1;
   (match m.oracle with
   | Some orc -> Oracle.on_call orc ~site:(-1) ~callee:o.entry ~now:0
   | None -> ());
@@ -181,35 +210,45 @@ let output m = Buffer.contents m.out
 let result m = m.result
 let pcounts m = Array.copy m.pcounts
 
-let instruction_counts m = Option.map Array.copy m.icounts
+let instruction_counts m =
+  if m.config.count_instructions then Some (Array.copy m.icounts) else None
+
 let monitor m = m.monitor
 let mcount_cycles m = m.mcount_cycles
 let the_oracle m = m.oracle
 
-let instructions_executed m = m.n_instr
+let instructions_executed m =
+  if m.config.metrics then Array.fold_left ( + ) 0 m.icounts else 0
+
+(* Execution count per Instr.group. *)
+let dispatch m =
+  let d = Array.make Instr.n_groups 0 in
+  if m.config.metrics then
+    Array.iteri
+      (fun pc n ->
+        let g = Instr.group m.text.(pc) in
+        d.(g) <- d.(g) + n)
+      m.icounts;
+  d
 
 let dispatch_counts m =
-  Array.to_list (Array.mapi (fun g n -> (Instr.group_name g, n)) m.dispatch)
+  Array.to_list (Array.mapi (fun g n -> (Instr.group_name g, n)) (dispatch m))
 
 let observe m reg =
   let module M = Obs.Metrics in
   let g name v = M.set (M.gauge reg name) v in
-  g "vm.instructions" m.n_instr;
+  g "vm.instructions" (instructions_executed m);
   g "vm.cycles" m.cycles;
   g "vm.ticks" m.n_ticks;
   g "vm.mcount_cycles" m.mcount_cycles;
-  g "vm.stack_depth" (Util.Growvec.length m.stack);
-  g "vm.frame_depth" (Util.Growvec.length m.frames);
+  g "vm.stack_depth" m.sp;
+  g "vm.frame_depth" m.depth;
   Array.iteri
     (fun grp n -> if n > 0 then g ("vm.dispatch." ^ Instr.group_name grp) n)
-    m.dispatch;
+    (dispatch m);
   Option.iter (fun s -> Stacksamp.observe s reg) m.sampler;
   Monitor.observe m.monitor reg;
   Profil.observe m.profil reg
-
-let call_stack m =
-  Array.init (Util.Growvec.length m.frames) (fun i ->
-      (Util.Growvec.get m.frames i).func_entry)
 
 let sampler m = m.sampler
 
@@ -329,24 +368,40 @@ let epochs m =
 
 (* --- execution ------------------------------------------------------ *)
 
+(* One [run] or [run_cycles] call is one loop under one handler. An
+   instruction that faults raises [Fault] before it moves [pc], so the
+   handler reports the faulting address from [m.pc]. *)
 exception Fault of string
+
+exception Stop
 
 let fault m reason =
   let f = { fault_pc = m.pc; reason } in
   m.status <- Faulted f;
   Faulted f
 
-let push m v = Util.Growvec.push m.stack v
+(* [a] copied into an array of at least [n] words, at least doubled. *)
+let grown a n =
+  let b = Array.make (max n (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let pop m =
-  match Util.Growvec.pop m.stack with
-  | Some v -> v
-  | None -> raise (Fault "operand stack underflow")
+let[@inline] push m v =
+  let sp = m.sp in
+  if sp = Array.length m.stack then m.stack <- grown m.stack (sp + 1);
+  Array.unsafe_set m.stack sp v;
+  m.sp <- sp + 1
 
-let cur_frame m =
-  match Util.Growvec.top m.frames with
-  | Some f -> f
-  | None -> raise (Fault "no active frame")
+let[@inline] pop m =
+  let sp = m.sp - 1 in
+  if sp < 0 then raise (Fault "operand stack underflow");
+  m.sp <- sp;
+  Array.unsafe_get m.stack sp
+
+(* A word of the innermost frame. *)
+let[@inline] frame m field = m.frames.(((m.depth - 1) * frame_words) + field)
+
+let call_stack m = Array.init m.depth (fun d -> m.frames.((d * frame_words) + fr_func))
 
 let next_interval m =
   let cpt = m.config.cycles_per_tick in
@@ -375,20 +430,37 @@ let service_ticks m ~at_pc =
     m.next_tick <- m.next_tick + next_interval m
   done
 
+let ensure_locals m n = if n > Array.length m.locals then m.locals <- grown m.locals n
+
 let do_call m ~target ~nargs ~ret_pc =
-  if Util.Growvec.length m.frames >= m.config.max_depth then
-    raise (Fault "call depth limit exceeded");
-  if target < 0 || target >= Array.length m.o.Objfile.text then
+  if m.depth >= m.config.max_depth then raise (Fault "call depth limit exceeded");
+  if target < 0 || target >= Array.length m.text then
     raise (Fault (Printf.sprintf "call target %d outside text" target));
-  (match Objfile.func_id_of_addr m.o target with
-  | Some _ -> ()
-  | None -> raise (Fault (Printf.sprintf "call target %d is not a function entry" target)));
-  let locals = Array.make nargs 0 in
-  for i = nargs - 1 downto 0 do
-    locals.(i) <- pop m
+  if Bytes.get m.entries target = '\000' then
+    raise (Fault (Printf.sprintf "call target %d is not a function entry" target));
+  if nargs < 0 then raise (Fault "negative argument count");
+  (* The arguments become the callee's first locals, in push order. *)
+  if m.sp < nargs then begin
+    m.sp <- 0;
+    raise (Fault "operand stack underflow")
+  end;
+  let base = m.sp - nargs and lbase = m.lp in
+  ensure_locals m (lbase + nargs);
+  for i = 0 to nargs - 1 do
+    m.locals.(lbase + i) <- m.stack.(base + i)
   done;
-  Util.Growvec.push m.frames
-    { ret_pc; func_entry = target; base = Util.Growvec.length m.stack; locals };
+  m.sp <- base;
+  let d = m.depth in
+  let f = d * frame_words in
+  if f + frame_words > Array.length m.frames then
+    m.frames <- grown m.frames (f + frame_words);
+  m.frames.(f + fr_ret) <- ret_pc;
+  m.frames.(f + fr_func) <- target;
+  m.frames.(f + fr_base) <- base;
+  m.frames.(f + fr_locals) <- lbase;
+  m.depth <- d + 1;
+  m.lbase <- lbase;
+  m.lp <- lbase + nargs;
   (match m.oracle with
   | Some orc -> Oracle.on_call orc ~site:(ret_pc - 1) ~callee:target ~now:m.cycles
   | None -> ());
@@ -396,27 +468,52 @@ let do_call m ~target ~nargs ~ret_pc =
 
 let do_ret m =
   let value = pop m in
-  match Util.Growvec.pop m.frames with
-  | None -> raise (Fault "return with no active frame")
-  | Some fr ->
-    (match m.oracle with
-    | Some orc -> Oracle.on_return orc ~now:m.cycles
-    | None -> ());
-    (* Reset the operand stack to the caller's height; balanced code
-       leaves nothing extra, but hand-written code may. *)
-    while Util.Growvec.length m.stack > fr.base do
-      ignore (pop m)
-    done;
-    if Util.Growvec.is_empty m.frames then begin
-      m.status <- Halted;
-      m.result <- Some value
-    end
-    else begin
-      push m value;
-      m.pc <- fr.ret_pc
-    end
+  let d = m.depth - 1 in
+  let f = d * frame_words in
+  m.depth <- d;
+  (match m.oracle with
+  | Some orc -> Oracle.on_return orc ~now:m.cycles
+  | None -> ());
+  (* Reset the operand stack to the caller's height; balanced code
+     leaves nothing extra, but hand-written code may. *)
+  let base = m.frames.(f + fr_base) in
+  if m.sp > base then m.sp <- base;
+  m.lp <- m.lbase;
+  if d = 0 then begin
+    m.status <- Halted;
+    m.result <- Some value
+  end
+  else begin
+    m.lbase <- m.frames.(f - frame_words + fr_locals);
+    push m value;
+    m.pc <- m.frames.(f + fr_ret)
+  end
 
-let alu_apply op a b =
+let[@inline] local_index m slot =
+  if slot < 0 || slot >= m.lp - m.lbase then
+    raise (Fault (Printf.sprintf "local slot %d out of range" slot));
+  m.lbase + slot
+
+let[@inline] global_index m g =
+  if g < 0 || g >= Array.length m.globals then
+    raise (Fault (Printf.sprintf "global %d out of range" g));
+  g
+
+let[@inline] array_of m a =
+  if a < 0 || a >= Array.length m.arrays then
+    raise (Fault (Printf.sprintf "array %d out of range" a));
+  m.arrays.(a)
+
+let[@inline] element_index m a arr i =
+  if i < 0 || i >= Array.length arr then
+    raise
+      (Fault
+         (Printf.sprintf "index %d out of bounds for %s[%d]" i
+            (fst m.o.Objfile.arrays.(a))
+            (Array.length arr)));
+  i
+
+let[@inline] alu_apply op a b =
   match (op : Instr.alu) with
   | Add -> a + b
   | Sub -> a - b
@@ -430,172 +527,150 @@ let alu_apply op a b =
   | Eq -> if a = b then 1 else 0
   | Ne -> if a <> b then 1 else 0
 
-let step m =
+let syscall m (sc : Instr.syscall) =
+  match sc with
+  | Sys_print ->
+    let v = pop m in
+    Buffer.add_string m.out (string_of_int v);
+    Buffer.add_char m.out '\n';
+    push m v
+  | Sys_putc ->
+    let v = pop m in
+    Buffer.add_char m.out (Char.chr (((v mod 256) + 256) mod 256));
+    push m v
+  | Sys_rand ->
+    let bound = pop m in
+    push m (if bound <= 0 then 0 else Util.Prng.int m.prng bound)
+  | Sys_cycles -> push m m.cycles
+
+(* Run until halt, fault, or [m.cycles >= stop_at]. Per instruction
+   the fixed work is the pc bounds test, the injected-fault countdown,
+   the cycle charge with its limit test, and one compare against the
+   next event: the next clock tick, the slice's end, or (forced to
+   [min_int]) a halt. The feature choices are read once per call. *)
+let exec m ~stop_at =
   match m.status with
-  | (Halted | Faulted _) as s -> s
+  | Halted | Faulted _ -> m.status
+  | Running when m.cycles >= stop_at -> m.status
   | Running -> (
-    let text = m.o.Objfile.text in
-    if m.pc < 0 || m.pc >= Array.length text then fault m "pc outside text segment"
-    else begin
-      let at_pc = m.pc in
-      let ins = text.(m.pc) in
-      try
-        (match m.fault_countdown with
-        | Some n when n <= 0 -> raise (Fault injected_fault_reason)
-        | Some n -> m.fault_countdown <- Some (n - 1)
-        | None -> ());
-        (match m.icounts with
-        | Some counts -> counts.(at_pc) <- counts.(at_pc) + 1
-        | None -> ());
-        if m.config.metrics then begin
-          m.n_instr <- m.n_instr + 1;
-          let grp = m.groups.(at_pc) in
-          m.dispatch.(grp) <- m.dispatch.(grp) + 1
-        end;
-        m.cycles <- m.cycles + Instr.cost ins;
-        (match m.config.max_cycles with
-        | Some limit when m.cycles > limit -> raise (Fault "cycle limit exceeded")
-        | _ -> ());
-        (match ins with
-        | Instr.Nop -> m.pc <- m.pc + 1
-        | Instr.Const n ->
-          push m n;
-          m.pc <- m.pc + 1
+    let text = m.text and cost = m.cost and n = Array.length m.text in
+    let limit = m.cycle_limit in
+    let counting = Array.length m.icounts > 0 and icounts = m.icounts in
+    let next_event = ref (Int.min m.next_tick stop_at) in
+    try
+      while true do
+        let pc = m.pc in
+        if pc < 0 || pc >= n then raise (Fault "pc outside text segment");
+        if m.countdown <= 0 then raise (Fault injected_fault_reason);
+        m.countdown <- m.countdown - 1;
+        if counting then icounts.(pc) <- icounts.(pc) + 1;
+        let cycles = m.cycles + Array.unsafe_get cost pc in
+        m.cycles <- cycles;
+        if cycles > limit then raise (Fault "cycle limit exceeded");
+        (match Array.unsafe_get text pc with
+        | Instr.Nop -> m.pc <- pc + 1
+        | Instr.Const k ->
+          push m k;
+          m.pc <- pc + 1
         | Instr.Load slot ->
-          let fr = cur_frame m in
-          if slot < 0 || slot >= Array.length fr.locals then
-            raise (Fault (Printf.sprintf "local slot %d out of range" slot));
-          push m fr.locals.(slot);
-          m.pc <- m.pc + 1
+          push m m.locals.(local_index m slot);
+          m.pc <- pc + 1
         | Instr.Store slot ->
-          let fr = cur_frame m in
-          if slot < 0 || slot >= Array.length fr.locals then
-            raise (Fault (Printf.sprintf "local slot %d out of range" slot));
-          fr.locals.(slot) <- pop m;
-          m.pc <- m.pc + 1
+          let i = local_index m slot in
+          m.locals.(i) <- pop m;
+          m.pc <- pc + 1
         | Instr.Gload g ->
-          if g < 0 || g >= Array.length m.globals then
-            raise (Fault (Printf.sprintf "global %d out of range" g));
-          push m m.globals.(g);
-          m.pc <- m.pc + 1
+          push m m.globals.(global_index m g);
+          m.pc <- pc + 1
         | Instr.Gstore g ->
-          if g < 0 || g >= Array.length m.globals then
-            raise (Fault (Printf.sprintf "global %d out of range" g));
-          m.globals.(g) <- pop m;
-          m.pc <- m.pc + 1
+          let i = global_index m g in
+          m.globals.(i) <- pop m;
+          m.pc <- pc + 1
         | Instr.Aload a ->
-          if a < 0 || a >= Array.length m.arrays then
-            raise (Fault (Printf.sprintf "array %d out of range" a));
-          let arr = m.arrays.(a) in
-          let i = pop m in
-          if i < 0 || i >= Array.length arr then
-            raise
-              (Fault
-                 (Printf.sprintf "index %d out of bounds for %s[%d]" i
-                    (fst m.o.Objfile.arrays.(a))
-                    (Array.length arr)));
+          let arr = array_of m a in
+          let i = element_index m a arr (pop m) in
           push m arr.(i);
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Astore a ->
-          if a < 0 || a >= Array.length m.arrays then
-            raise (Fault (Printf.sprintf "array %d out of range" a));
-          let arr = m.arrays.(a) in
+          let arr = array_of m a in
           let v = pop m in
-          let i = pop m in
-          if i < 0 || i >= Array.length arr then
-            raise
-              (Fault
-                 (Printf.sprintf "index %d out of bounds for %s[%d]" i
-                    (fst m.o.Objfile.arrays.(a))
-                    (Array.length arr)));
+          let i = element_index m a arr (pop m) in
           arr.(i) <- v;
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Alu op ->
           let b = pop m in
           let a = pop m in
           push m (alu_apply op a b);
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Unop Neg ->
           push m (-pop m);
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Unop Not ->
           push m (if pop m = 0 then 1 else 0);
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Jump target -> m.pc <- target
-        | Instr.Jumpz target -> if pop m = 0 then m.pc <- target else m.pc <- m.pc + 1
-        | Instr.Call (target, nargs) -> do_call m ~target ~nargs ~ret_pc:(m.pc + 1)
+        | Instr.Jumpz target -> m.pc <- (if pop m = 0 then target else pc + 1)
+        | Instr.Call (target, nargs) -> do_call m ~target ~nargs ~ret_pc:(pc + 1)
         | Instr.Calli nargs ->
           let target = pop m in
-          do_call m ~target ~nargs ~ret_pc:(m.pc + 1)
+          do_call m ~target ~nargs ~ret_pc:(pc + 1)
         | Instr.Funref addr ->
           push m addr;
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Enter extra ->
-          let fr = cur_frame m in
           if extra < 0 then raise (Fault "negative local count");
-          if extra > 0 then begin
-            let bigger = Array.make (Array.length fr.locals + extra) 0 in
-            Array.blit fr.locals 0 bigger 0 (Array.length fr.locals);
-            fr.locals <- bigger
-          end;
-          m.pc <- m.pc + 1
+          let lp = m.lp + extra in
+          ensure_locals m lp;
+          for i = m.lp to lp - 1 do
+            m.locals.(i) <- 0
+          done;
+          m.lp <- lp;
+          m.pc <- pc + 1
         | Instr.Mcount ->
           if m.monitoring then begin
-            let fr = cur_frame m in
-            let frompc = fr.ret_pc - 1 in
-            let cost = Monitor.record m.monitor ~frompc ~selfpc:fr.func_entry in
+            let cost =
+              Monitor.record m.monitor ~frompc:(frame m fr_ret - 1)
+                ~selfpc:(frame m fr_func)
+            in
             m.cycles <- m.cycles + cost;
             m.mcount_cycles <- m.mcount_cycles + cost
           end;
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Pcount f ->
           if m.monitoring then begin
             if f < 0 || f >= Array.length m.pcounts then
               raise (Fault (Printf.sprintf "pcount id %d out of range" f));
             m.pcounts.(f) <- m.pcounts.(f) + 1
           end;
-          m.pc <- m.pc + 1
-        | Instr.Ret -> do_ret m
+          m.pc <- pc + 1
+        | Instr.Ret ->
+          do_ret m;
+          if m.depth = 0 then next_event := min_int
         | Instr.Pop ->
           ignore (pop m);
-          m.pc <- m.pc + 1
+          m.pc <- pc + 1
         | Instr.Syscall sc ->
-          (match sc with
-          | Instr.Sys_print ->
-            let v = pop m in
-            Buffer.add_string m.out (string_of_int v);
-            Buffer.add_char m.out '\n';
-            push m v
-          | Instr.Sys_putc ->
-            let v = pop m in
-            Buffer.add_char m.out (Char.chr (((v mod 256) + 256) mod 256));
-            push m v
-          | Instr.Sys_rand ->
-            let bound = pop m in
-            push m (if bound <= 0 then 0 else Util.Prng.int m.prng bound)
-          | Instr.Sys_cycles -> push m m.cycles);
-          m.pc <- m.pc + 1
+          syscall m sc;
+          m.pc <- pc + 1
         | Instr.Halt ->
           m.status <- Halted;
-          m.result <- Some 0);
-        service_ticks m ~at_pc;
-        (match (m.status, m.oracle) with
-        | Halted, Some orc -> Oracle.finish orc ~now:m.cycles
-        | _ -> ());
-        m.status
-      with Fault reason ->
-        m.pc <- at_pc;
-        fault m reason
-    end)
+          m.result <- Some 0;
+          next_event := min_int);
+        if m.cycles >= !next_event then begin
+          service_ticks m ~at_pc:pc;
+          (match (m.status, m.oracle) with
+          | Halted, Some orc -> Oracle.finish orc ~now:m.cycles
+          | _ -> ());
+          match m.status with
+          | Running when m.cycles < stop_at -> next_event := Int.min m.next_tick stop_at
+          | _ -> raise_notrace Stop
+        end
+      done;
+      m.status
+    with
+    | Stop -> m.status
+    | Fault reason -> fault m reason)
 
-let run m =
-  let rec go () = match step m with Running -> go () | s -> s in
-  go ()
+let run m = exec m ~stop_at:max_int
 
-let run_cycles m budget =
-  let stop_at = m.cycles + budget in
-  let rec go () =
-    if m.cycles >= stop_at then m.status
-    else match step m with Running -> go () | s -> s
-  in
-  go ()
+let run_cycles m budget = exec m ~stop_at:(m.cycles + budget)

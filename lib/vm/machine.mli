@@ -17,7 +17,18 @@
     quartet is the "programmer's interface to control the profiler"
     that the retrospective added for kernel profiling: the profile of
     a long-running program can be extracted, reset, and toggled
-    without stopping execution ({!run_cycles} runs bounded slices). *)
+    without stopping execution ({!run_cycles} runs bounded slices).
+
+    Execution is one allocation-free loop per {!run} or {!run_cycles}
+    call, under a single fault handler. {!create} precomputes a
+    per-address cost table and a function-entry bitmap; frames are
+    flat int words and all live frames' locals share one array, so
+    calls and returns allocate nothing. After each instruction the
+    loop makes one compare against the next event (the next clock
+    tick, the slice's end, or a halt); before it, one cycle-limit
+    compare (against [max_int] when unlimited) and one decrement of
+    the injected-fault countdown. Which counters to keep is read once
+    per call, not per instruction. *)
 
 type config = {
   cycles_per_tick : int;
@@ -84,9 +95,6 @@ val create : ?config:config -> Objcode.Objfile.t -> t
 
 val obj : t -> Objcode.Objfile.t
 
-val step : t -> status
-(** Execute one instruction (and any clock ticks it completes). *)
-
 val run : t -> status
 (** Run until halt or fault. *)
 
@@ -112,9 +120,6 @@ val pcounts : t -> int array
 val instruction_counts : t -> int array option
 (** Exact execution count per text address, when
     [count_instructions] was configured. *)
-
-val call_stack : t -> int array
-(** Entry addresses of the live frames, root first. *)
 
 val monitor : t -> Monitor.t
 

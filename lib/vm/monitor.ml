@@ -40,21 +40,6 @@ let create ~text_size ~keying =
 
 let keying t = t.keying
 
-(* Walk the chain headed by [head] (1-based) looking for [key2];
-   returns (cell option, probes). *)
-let find_on_chain t head key2 =
-  let probes = ref 0 in
-  let rec go idx =
-    if idx = 0 then None
-    else begin
-      incr probes;
-      let c = Util.Growvec.get t.tos (idx - 1) in
-      if c.key2 = key2 then Some c else go c.link
-    end
-  in
-  let r = go head in
-  (r, !probes)
-
 let push_cell t key2 link =
   Util.Growvec.push t.tos { key2; count = 1; link };
   Util.Growvec.length t.tos (* 1-based index of the new cell *)
@@ -71,29 +56,36 @@ let record t ~frompc ~selfpc =
   let frompc =
     if frompc < 0 || frompc >= t.text_size then spontaneous_from else frompc
   in
-  let spontaneous = frompc = spontaneous_from in
-  let get_head, set_head, key2 =
+  (* [slot] indexes [froms], or is [spontaneous_from] for the chain
+     all spontaneous invocations share under Site_primary (keyed by
+     callee). Under Callee_primary the callee is a real address and
+     the (possibly normalized) caller is just another secondary
+     key. *)
+  let slot, key2 =
     match t.keying with
-    | Site_primary ->
-      if spontaneous then
-        (* All spontaneous invocations share one chain keyed by
-           callee. *)
-        ((fun () -> t.spontaneous), (fun h -> t.spontaneous <- h), selfpc)
-      else
-        ((fun () -> t.froms.(frompc)), (fun h -> t.froms.(frompc) <- h), selfpc)
-    | Callee_primary ->
-      (* The callee is a real address; the (possibly normalized)
-         caller is just another secondary key. *)
-      ((fun () -> t.froms.(selfpc)), (fun h -> t.froms.(selfpc) <- h), frompc)
+    | Site_primary -> (frompc, selfpc)
+    | Callee_primary -> (selfpc, frompc)
   in
-  let found, probes = find_on_chain t (get_head ()) key2 in
+  let head = if slot = spontaneous_from then t.spontaneous else t.froms.(slot) in
+  let probes = ref 0 and idx = ref head in
+  while !idx > 0 do
+    incr probes;
+    let c = Util.Growvec.get t.tos (!idx - 1) in
+    if c.key2 = key2 then begin
+      c.count <- c.count + 1;
+      idx := -1
+    end
+    else idx := c.link
+  done;
+  if !idx = 0 then begin
+    let h = push_cell t key2 head in
+    if slot = spontaneous_from then t.spontaneous <- h else t.froms.(slot) <- h
+  end;
+  let probes = !probes in
   t.n_probes <- t.n_probes + probes;
   if probes > t.max_probe then t.max_probe <- probes;
   let pb = Obs.Metrics.hist_bucket_of probes in
   t.probe_hist.(pb) <- t.probe_hist.(pb) + 1;
-  (match found with
-  | Some c -> c.count <- c.count + 1
-  | None -> set_head (push_cell t key2 (get_head ())));
   base_cost + (probe_cost * probes)
 
 let arcs t =

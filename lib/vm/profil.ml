@@ -25,9 +25,11 @@ let enable t = t.enabled <- true
 let disable t = t.enabled <- false
 
 let sample t ~pc =
-  if t.enabled then
-    match Gmon.bucket_of_pc t.shape pc with
-    | Some i ->
+  if t.enabled then begin
+    let h = t.shape in
+    if pc < h.h_lowpc || pc >= h.h_highpc then t.overflow <- t.overflow + 1
+    else begin
+      let i = (pc - h.h_lowpc) / h.h_bucket_size in
       t.counts.(i) <- t.counts.(i) + 1;
       t.ticks <- t.ticks + 1;
       (* A collision is a tick that lands in a bucket a *different*
@@ -36,7 +38,8 @@ let sample t ~pc =
       if t.last_pc.(i) <> 0 && t.last_pc.(i) <> pc + 1 then
         t.collisions <- t.collisions + 1;
       t.last_pc.(i) <- pc + 1
-    | None -> t.overflow <- t.overflow + 1
+    end
+  end
 
 let ticks t = t.ticks
 

@@ -400,6 +400,48 @@ let test_fault_local_out_of_range () =
              Objcode.Asm.Ins Objcode.Asm.ARet ] ])
     "local slot"
 
+let test_fault_negative_argument_count () =
+  (* An indirect call's count is only known at run time. *)
+  expect_fault
+    (assemble
+       [
+         asm_fun "f" [ Objcode.Asm.Ins (Objcode.Asm.ALoad 0); Objcode.Asm.Ins Objcode.Asm.ARet ];
+         asm_fun "main"
+           [ Objcode.Asm.Ins (Objcode.Asm.AConst 1);
+             Objcode.Asm.Ins (Objcode.Asm.AFunref "f");
+             Objcode.Asm.Ins (Objcode.Asm.ACalli (-1));
+             Objcode.Asm.Ins Objcode.Asm.ARet ] ])
+    "negative argument count";
+  (* A direct call's count is static: the assembler's validation
+     rejects it, and the VM faults on a hand-patched object. *)
+  let prog count =
+    {
+      Objcode.Asm.a_globals = [];
+      a_arrays = [];
+      a_funs =
+        [
+          asm_fun "f" [ Objcode.Asm.Ins (Objcode.Asm.ALoad 0); Objcode.Asm.Ins Objcode.Asm.ARet ];
+          asm_fun "main"
+            [ Objcode.Asm.Ins (Objcode.Asm.AConst 1);
+              Objcode.Asm.Ins (Objcode.Asm.ACall ("f", count));
+              Objcode.Asm.Ins Objcode.Asm.ARet ];
+        ];
+      a_entry = "main";
+      a_source = "test";
+    }
+  in
+  check_bool "assembler rejects Call (f, -1)" true
+    (Result.is_error (Objcode.Asm.assemble (prog (-1))));
+  match Objcode.Asm.assemble (prog 1) with
+  | Error e -> Alcotest.failf "assemble: %s" e
+  | Ok o ->
+    let at = o.entry + 1 in
+    (match o.text.(at) with
+    | Objcode.Instr.Call (f, _) -> o.text.(at) <- Objcode.Instr.Call (f, -1)
+    | _ -> Alcotest.fail "expected the call at entry + 1");
+    check_bool "validate rejects it" true (Result.is_error (Objcode.Objfile.validate o));
+    expect_fault o "negative argument count"
+
 let test_fault_depth_limit () =
   let o =
     assemble
@@ -431,9 +473,11 @@ let test_fault_cycle_limit () =
   | Vm.Machine.Faulted f ->
     check_bool "cycle limit" true (f.reason = "cycle limit exceeded")
   | _ -> Alcotest.fail "expected cycle-limit fault");
-  (* A fault is sticky. *)
-  check_bool "still faulted" true
-    (match Vm.Machine.step m with Vm.Machine.Faulted _ -> true | _ -> false)
+  (* A fault is sticky: running again, whole or sliced, reports the
+     same fault. *)
+  let first = Vm.Machine.status m in
+  check_bool "run again: same fault" true (Vm.Machine.run m = first);
+  check_bool "run_cycles again: same fault" true (Vm.Machine.run_cycles m 1000 = first)
 
 (* ------------------------------------------------------------------ *)
 (* Machine: clock, control interface, profile extraction *)
@@ -697,6 +741,8 @@ let () =
           Alcotest.test_case "array bounds" `Quick test_fault_array_bounds;
           Alcotest.test_case "bad indirect target" `Quick test_fault_bad_indirect_target;
           Alcotest.test_case "local out of range" `Quick test_fault_local_out_of_range;
+          Alcotest.test_case "negative argument count" `Quick
+            test_fault_negative_argument_count;
           Alcotest.test_case "depth limit" `Quick test_fault_depth_limit;
           Alcotest.test_case "cycle limit" `Quick test_fault_cycle_limit;
         ] );
