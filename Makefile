@@ -64,6 +64,19 @@ smoke: build
 	  --obs-metrics /dev/stdout > $(SMOKE_DIR)/smoke.out
 	grep -q "call graph profile" $(SMOKE_DIR)/smoke.out
 	grep -q '"gmon.bytes_read"' $(SMOKE_DIR)/smoke.out
+	# JSON report and trace: the report is deterministic across runs,
+	# and both parse with an independent JSON parser
+	set -e; for n in 1 2; do \
+	  dune exec bin/gprofx.exe -- $(SMOKE_DIR)/smoke.obj $(SMOKE_DIR)/smoke.gmon \
+	    --format json --obs-trace $(SMOKE_DIR)/smoke.trace.$$n.json \
+	    > $(SMOKE_DIR)/smoke.report.$$n.json; \
+	done
+	cmp $(SMOKE_DIR)/smoke.report.1.json $(SMOKE_DIR)/smoke.report.2.json
+	python3 -c 'import json,sys; \
+	  r = json.load(open(sys.argv[1])); t = json.load(open(sys.argv[2])); \
+	  assert r["schema"] == "gprof-repro.report/1" and r["flat"], "report malformed"; \
+	  assert t["traceEvents"] and all(e["ph"] == "X" for e in t["traceEvents"]), "trace malformed"' \
+	  $(SMOKE_DIR)/smoke.report.1.json $(SMOKE_DIR)/smoke.trace.1.json
 	# Fault injection: truncate the profile mid-header, mid-data, and
 	# inside the checksum footer. Strict gprofx must reject each (exit 1);
 	# --lenient must quarantine or salvage and exit 2 (degraded).

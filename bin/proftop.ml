@@ -29,18 +29,14 @@ let rpc ~socket ~attempts req =
   | Ok (Proto.Resp_ok payload) -> Ok payload
 
 let poll ~socket ~attempts =
-  match rpc ~socket ~attempts Proto.Query_metrics with
-  | Error c -> Error c
-  | Ok mjson -> (
-    match rpc ~socket ~attempts Proto.Query_health with
-    | Error c -> Error c
-    | Ok hjson -> (
-      match Obs.Snapshot.of_json mjson with
-      | Error e -> fail "metrics: %s" e
-      | Ok snap -> (
-        match Obs.Jsonin.parse hjson with
-        | Error e -> fail "health: %s" e
-        | Ok health -> Ok (String.trim mjson, String.trim hjson, snap, health))))
+  let check what = function Ok v -> Ok v | Error e -> fail "%s: %s" what e in
+  let ( let* ) = Result.bind in
+  let* mjson = rpc ~socket ~attempts Proto.Query_metrics in
+  let* hjson = rpc ~socket ~attempts Proto.Query_health in
+  let* metrics = check "metrics" (Obs.Jsonin.parse mjson) in
+  let* snap = check "metrics" (Obs.Snapshot.of_value metrics) in
+  let* health = check "health" (Obs.Jsonin.parse hjson) in
+  Ok (metrics, snap, health)
 
 (* --- derived views ----------------------------------------------------- *)
 
@@ -61,30 +57,20 @@ let rpc_rows (snap : Obs.Snapshot.t) =
 let mean (h : Obs.Snapshot.hist) =
   if h.h_count = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_count
 
-let derived_json snap =
-  let buf = Buffer.create 512 in
-  let f v = Buffer.add_string buf (Printf.sprintf "%.1f" v) in
-  Obs.Jsonbuf.obj buf
-    [
-      ( "rpc",
-        fun () ->
-          Obs.Jsonbuf.obj buf
-            (List.map
-               (fun (verb, h) ->
-                 ( verb,
-                   fun () ->
-                     Obs.Jsonbuf.obj buf
-                       [
-                         ("count", fun () -> Obs.Jsonbuf.int buf h.Obs.Snapshot.h_count);
-                         ("mean_us", fun () -> f (mean h));
-                         ("p50_us", fun () -> f (Obs.Snapshot.hist_quantile h 0.5));
-                         ("p90_us", fun () -> f (Obs.Snapshot.hist_quantile h 0.9));
-                         ("p99_us", fun () -> f (Obs.Snapshot.hist_quantile h 0.99));
-                         ("max_us", fun () -> Obs.Jsonbuf.int buf h.h_max);
-                       ] ))
-               (rpc_rows snap)) );
-    ];
-  Buffer.contents buf
+let derived snap =
+  let row (verb, (h : Obs.Snapshot.hist)) =
+    ( verb,
+      Obs.Jsonin.Obj
+        [
+          ("count", Int h.h_count);
+          ("mean_us", Float (mean h));
+          ("p50_us", Float (Obs.Snapshot.hist_quantile h 0.5));
+          ("p90_us", Float (Obs.Snapshot.hist_quantile h 0.9));
+          ("p99_us", Float (Obs.Snapshot.hist_quantile h 0.99));
+          ("max_us", Int h.h_max);
+        ] )
+  in
+  Obs.Jsonin.Obj [ ("rpc", Obj (List.map row (rpc_rows snap))) ]
 
 (* --- rendering --------------------------------------------------------- *)
 
@@ -191,12 +177,13 @@ let render ~socket ~prev ~elapsed (snap : Obs.Snapshot.t) health =
 let once ~socket ~attempts ~json =
   match poll ~socket ~attempts with
   | Error c -> c
-  | Ok (mjson, hjson, snap, health) ->
+  | Ok (metrics, snap, health) ->
     if json then
-      (* raw passthrough of both answers plus the derived quantile
-         table — one object a gate can feed straight to a JSON parser *)
-      Printf.printf "{\"health\":%s,\"metrics\":%s,\"derived\":%s}\n" hjson
-        mjson (derived_json snap)
+      (* both answers as parsed plus the derived quantile table — one
+         object a gate can feed straight to a JSON parser *)
+      print_endline
+        (Obs.Jsonin.print
+           (Obj [ ("health", health); ("metrics", metrics); ("derived", derived snap) ]))
     else print_string (render ~socket ~prev:None ~elapsed:0.0 snap health);
     0
 
@@ -210,7 +197,7 @@ let live ~socket ~attempts ~interval ~count =
     else
       match poll ~socket ~attempts with
       | Error c -> c
-      | Ok (_, _, snap, health) ->
+      | Ok (_, snap, health) ->
         let now = Unix.gettimeofday () in
         let elapsed = match prev_t with Some t -> now -. t | None -> 0.0 in
         clear ();
@@ -308,28 +295,20 @@ let verify_telemetry ~json path =
     in
     let ok = complaints = [] && violations = [] && seq_ok in
     if json then begin
-      let buf = Buffer.create 256 in
-      Obs.Jsonbuf.obj buf
-        [
-          ("records", fun () -> Obs.Jsonbuf.int buf (List.length records));
-          ("damaged", fun () -> Obs.Jsonbuf.int buf (List.length complaints));
-          ( "first_seq",
-            fun () ->
-              Obs.Jsonbuf.int buf
-                (match seqs with s :: _ -> s | [] -> 0) );
-          ( "last_seq",
-            fun () ->
-              Obs.Jsonbuf.int buf
-                (match List.rev seqs with s :: _ -> s | [] -> 0) );
-          ("seq_monotonic", fun () -> Buffer.add_string buf (if seq_ok then "true" else "false"));
-          ("restarts", fun () -> Obs.Jsonbuf.int buf !restarts);
-          ( "violations",
-            fun () ->
-              Obs.Jsonbuf.arr buf violations (Obs.Jsonbuf.escape buf) );
-          ("ok", fun () -> Buffer.add_string buf (if ok then "true" else "false"));
-        ];
-      print_string (Buffer.contents buf);
-      print_newline ()
+      let seq_at = function s :: _ -> s | [] -> 0 in
+      print_endline
+        (Obs.Jsonin.print
+           (Obj
+              [
+                ("records", Int (List.length records));
+                ("damaged", Int (List.length complaints));
+                ("first_seq", Int (seq_at seqs));
+                ("last_seq", Int (seq_at (List.rev seqs)));
+                ("seq_monotonic", Bool seq_ok);
+                ("restarts", Int !restarts);
+                ("violations", List (List.map (fun v -> Obs.Jsonin.Str v) violations));
+                ("ok", Bool ok);
+              ]))
     end
     else begin
       Printf.printf "%s: %d record(s), %d damaged line(s), %d restart(s), seq %s\n"

@@ -128,11 +128,6 @@ let block_index f addr =
   in
   go 0 (n - 1)
 
-let func_of_addr t addr =
-  match Objfile.symbol_index t.cfg_obj addr with
-  | None -> None
-  | Some i -> Some (i, t.cfg_funcs.(i))
-
 let call_graph ?(indirect = []) t =
   let o = t.cfg_obj in
   let n = Array.length o.Objfile.symbols in

@@ -49,9 +49,6 @@ val block_index : func -> int -> int option
     the block numbering {!Dataflow.graph_of_func}, {!Dom}, and
     {!Facts} all share. Binary search. *)
 
-val func_of_addr : t -> int -> (int * func) option
-(** The function (id and body) whose symbol covers the address. *)
-
 val n_blocks : t -> int
 (** Total basic blocks over all functions. *)
 

@@ -766,58 +766,41 @@ let to_json ~binary ~profiles results =
         | c -> c)
       (aggregate results)
   in
-  let buf = Buffer.create 2048 in
-  let j = Obs.Jsonbuf.escape buf in
   let count sev =
     List.length (List.filter (fun a -> a.a_finding.f_severity = sev) aggs)
   in
-  Obs.Jsonbuf.obj buf
-    [
-      ("schema", fun () -> j json_schema);
-      ("binary", fun () -> j binary);
-      ("profiles", fun () -> Obs.Jsonbuf.arr buf profiles j);
-      ( "summary",
-        fun () ->
-          Obs.Jsonbuf.obj buf
-            [
-              ("findings", fun () -> Obs.Jsonbuf.int buf (List.length aggs));
-              ("errors", fun () -> Obs.Jsonbuf.int buf (count Error));
-              ("warnings", fun () -> Obs.Jsonbuf.int buf (count Warning));
-              ("notes", fun () -> Obs.Jsonbuf.int buf (count Info));
-              ( "arcs_checked",
-                fun () ->
-                  Obs.Jsonbuf.int buf
-                    (List.fold_left (fun n r -> n + r.l_arcs_checked) 0 results)
-              );
-              ( "buckets_checked",
-                fun () ->
-                  Obs.Jsonbuf.int buf
-                    (List.fold_left
-                       (fun n r -> n + r.l_buckets_checked)
-                       0 results) );
-            ] );
-      ( "findings",
-        fun () ->
-          Obs.Jsonbuf.arr buf aggs (fun a ->
-              let f = a.a_finding in
-              Obs.Jsonbuf.obj buf
-                [
-                  ("rule", fun () -> j f.f_rule);
-                  ( "severity",
-                    fun () -> j (severity_to_string f.f_severity) );
-                  ( "func",
-                    fun () ->
-                      match f.f_func with
-                      | None -> Buffer.add_string buf "null"
-                      | Some fn -> j fn );
-                  ( "addr",
-                    fun () ->
-                      match f.f_addr with
-                      | None -> Buffer.add_string buf "null"
-                      | Some ad -> Obs.Jsonbuf.int buf ad );
-                  ("profiles", fun () -> Obs.Jsonbuf.int buf a.a_profiles);
-                  ("msg", fun () -> j f.f_msg);
-                ]) );
-    ];
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let total field = List.fold_left (fun n r -> n + field r) 0 results in
+  let opt f = function None -> Obs.Jsonin.Null | Some x -> f x in
+  Obs.Jsonin.print
+    (Obj
+       [
+         ("schema", Str json_schema);
+         ("binary", Str binary);
+         ("profiles", List (List.map (fun p -> Obs.Jsonin.Str p) profiles));
+         ( "summary",
+           Obj
+             [
+               ("findings", Int (List.length aggs));
+               ("errors", Int (count Error));
+               ("warnings", Int (count Warning));
+               ("notes", Int (count Info));
+               ("arcs_checked", Int (total (fun r -> r.l_arcs_checked)));
+               ("buckets_checked", Int (total (fun r -> r.l_buckets_checked)));
+             ] );
+         ( "findings",
+           List
+             (List.map
+                (fun a ->
+                  let f = a.a_finding in
+                  Obs.Jsonin.Obj
+                    [
+                      ("rule", Str f.f_rule);
+                      ("severity", Str (severity_to_string f.f_severity));
+                      ("func", opt (fun fn -> Obs.Jsonin.Str fn) f.f_func);
+                      ("addr", opt (fun ad -> Obs.Jsonin.Int ad) f.f_addr);
+                      ("profiles", Int a.a_profiles);
+                      ("msg", Str f.f_msg);
+                    ])
+                aggs) );
+       ])
+  ^ "\n"

@@ -133,130 +133,120 @@ let callgrind (p : Profile.t) =
 
 let schema_id = "gprof-repro.report/1"
 
-(* Jsonbuf.float stops at three fractional digits — too coarse for
-   seconds at a 60 Hz clock — so seconds get six here. *)
-let jsec b f = Buffer.add_string b (Printf.sprintf "%.6f" f)
-let jstr b s = Obs.Jsonbuf.escape b s
-let jint = Obs.Jsonbuf.int
-let jbool b v = Buffer.add_string b (if v then "true" else "false")
-let jnull b = Buffer.add_string b "null"
+module J = Obs.Jsonin
 
-let jindex b (p : Profile.t) party =
-  match Profile.display_index p party with
-  | Some i -> jint b i
-  | None -> jnull b
+let jindex (p : Profile.t) party =
+  match Profile.display_index p party with Some i -> J.Int i | None -> J.Null
 
-let jarc b (p : Profile.t) (v : Profile.arc_view) =
-  Obs.Jsonbuf.obj b
-    [
-      ("name", fun () -> jstr b (Profile.party_name p v.av_other));
-      ("index", fun () -> jindex b p v.av_other);
-      ("count", fun () -> jint b v.av_count);
-      ("total", fun () -> jint b v.av_total);
-      ("self_seconds", fun () -> jsec b v.av_self);
-      ("descendant_seconds", fun () -> jsec b v.av_child);
-      ("intra_cycle", fun () -> jbool b v.av_intra);
-    ]
+let jnames (p : Profile.t) ids =
+  J.List (List.map (fun id -> J.Str (Symtab.name p.symtab id)) ids)
 
-let jgraph_entry b (p : Profile.t) party =
+let jarcs (p : Profile.t) views =
+  J.List
+    (List.map
+       (fun (v : Profile.arc_view) ->
+         J.Obj
+           [
+             ("name", Str (Profile.party_name p v.av_other));
+             ("index", jindex p v.av_other);
+             ("count", Int v.av_count);
+             ("total", Int v.av_total);
+             ("self_seconds", Float v.av_self);
+             ("descendant_seconds", Float v.av_child);
+             ("intra_cycle", Bool v.av_intra);
+           ])
+       views)
+
+let jgraph_entry (p : Profile.t) party =
   match party with
-  | Profile.Spontaneous -> jnull b (* never listed; keep the array well-formed *)
+  | Profile.Spontaneous -> J.Null (* never listed; keep the array well-formed *)
   | Profile.Func id ->
     let e = p.entries.(id) in
-    Obs.Jsonbuf.obj b
+    J.Obj
       [
-        ("kind", fun () -> jstr b "routine");
-        ("index", fun () -> jindex b p party);
-        ("name", fun () -> jstr b (Symtab.name p.symtab id));
-        ("cycle", fun () -> jint b e.e_cycle);
-        ("percent_time", fun () -> jsec b (Profile.percent_time p party));
-        ("self_seconds", fun () -> jsec b e.e_self);
-        ("descendant_seconds", fun () -> jsec b e.e_child);
-        ("calls", fun () -> jint b e.e_calls);
-        ("self_calls", fun () -> jint b e.e_self_calls);
-        ("parents", fun () -> Obs.Jsonbuf.arr b e.e_parents (jarc b p));
-        ("children", fun () -> Obs.Jsonbuf.arr b e.e_children (jarc b p));
+        ("kind", Str "routine");
+        ("index", jindex p party);
+        ("name", Str (Symtab.name p.symtab id));
+        ("cycle", Int e.e_cycle);
+        ("percent_time", Float (Profile.percent_time p party));
+        ("self_seconds", Float e.e_self);
+        ("descendant_seconds", Float e.e_child);
+        ("calls", Int e.e_calls);
+        ("self_calls", Int e.e_self_calls);
+        ("parents", jarcs p e.e_parents);
+        ("children", jarcs p e.e_children);
       ]
   | Profile.Cycle n ->
     let c = p.cycles.(n - 1) in
-    Obs.Jsonbuf.obj b
+    J.Obj
       [
-        ("kind", fun () -> jstr b "cycle");
-        ("index", fun () -> jindex b p party);
-        ("number", fun () -> jint b c.c_no);
-        ( "members",
-          fun () ->
-            Obs.Jsonbuf.arr b c.c_members (fun id ->
-                jstr b (Symtab.name p.symtab id)) );
-        ("percent_time", fun () -> jsec b (Profile.percent_time p party));
-        ("self_seconds", fun () -> jsec b c.c_self);
-        ("descendant_seconds", fun () -> jsec b c.c_child);
-        ("calls", fun () -> jint b c.c_calls);
-        ("intra_calls", fun () -> jint b c.c_intra_calls);
-        ("parents", fun () -> Obs.Jsonbuf.arr b c.c_parents (jarc b p));
-        ("members_views", fun () -> Obs.Jsonbuf.arr b c.c_member_views (jarc b p));
+        ("kind", Str "cycle");
+        ("index", jindex p party);
+        ("number", Int c.c_no);
+        ("members", jnames p c.c_members);
+        ("percent_time", Float (Profile.percent_time p party));
+        ("self_seconds", Float c.c_self);
+        ("descendant_seconds", Float c.c_child);
+        ("calls", Int c.c_calls);
+        ("intra_calls", Int c.c_intra_calls);
+        ("parents", jarcs p c.c_parents);
+        ("members_views", jarcs p c.c_member_views);
       ]
 
 let json_report (r : Report.t) =
   let p = r.profile in
-  let b = Buffer.create 8192 in
-  Obs.Jsonbuf.obj b
-    [
-      ("schema", fun () -> jstr b schema_id);
-      ("total_seconds", fun () -> jsec b p.total_time);
-      ("seconds_per_tick", fun () -> jsec b p.seconds_per_tick);
-      ("unattributed_seconds", fun () -> jsec b p.unattributed);
-      ("degraded", fun () -> jbool b (Report.degraded r));
-      ("dropped_records", fun () -> jint b r.dropped_records);
-      ("folded_records", fun () -> jint b r.folded_records);
-      ( "removed_arcs",
-        fun () ->
-          Obs.Jsonbuf.arr b (Report.removed_arc_names r) (fun (f, t) ->
-              Obs.Jsonbuf.arr b [ f; t ] (jstr b)) );
-      ( "flat",
-        fun () ->
-          Obs.Jsonbuf.arr b (Flat.rows p) (fun (id, self, cum, calls) ->
-              Obs.Jsonbuf.obj b
-                [
-                  ("name", fun () -> jstr b (Symtab.name p.symtab id));
-                  ( "percent_time",
-                    (* the flat profile's %time is self-based, unlike
-                       the graph's self+descendants share *)
-                    fun () ->
-                      jsec b
-                        (if p.total_time > 0.0 then
-                           100.0 *. self /. p.total_time
-                         else 0.0) );
-                  ("self_seconds", fun () -> jsec b self);
-                  ("cumulative_seconds", fun () -> jsec b cum);
-                  ("calls", fun () -> jint b calls);
-                ]) );
-      ( "graph",
-        fun () ->
-          Obs.Jsonbuf.arr b (Array.to_list p.order) (jgraph_entry b p) );
-      ( "cycles",
-        fun () ->
-          Obs.Jsonbuf.arr b (Array.to_list p.cycles)
-            (fun (c : Profile.cycle_entry) ->
-              Obs.Jsonbuf.obj b
-                [
-                  ("number", fun () -> jint b c.c_no);
-                  ( "members",
-                    fun () ->
-                      Obs.Jsonbuf.arr b c.c_members (fun id ->
-                          jstr b (Symtab.name p.symtab id)) );
-                  ("self_seconds", fun () -> jsec b c.c_self);
-                  ("descendant_seconds", fun () -> jsec b c.c_child);
-                  ("calls", fun () -> jint b c.c_calls);
-                  ("intra_calls", fun () -> jint b c.c_intra_calls);
-                ]) );
-      ( "never_called",
-        fun () ->
-          Obs.Jsonbuf.arr b p.never_called (fun id ->
-              jstr b (Symtab.name p.symtab id)) );
-    ];
-  Buffer.add_char b '\n';
-  Buffer.contents b
+  J.print
+    (Obj
+       [
+         ("schema", Str schema_id);
+         ("total_seconds", Float p.total_time);
+         ("seconds_per_tick", Float p.seconds_per_tick);
+         ("unattributed_seconds", Float p.unattributed);
+         ("degraded", Bool (Report.degraded r));
+         ("dropped_records", Int r.dropped_records);
+         ("folded_records", Int r.folded_records);
+         ( "removed_arcs",
+           List
+             (List.map
+                (fun (f, t) -> J.List [ Str f; Str t ])
+                (Report.removed_arc_names r)) );
+         ( "flat",
+           List
+             (List.map
+                (fun (id, self, cum, calls) ->
+                  J.Obj
+                    [
+                      ("name", Str (Symtab.name p.symtab id));
+                      (* the flat profile's %time is self-based, unlike
+                         the graph's self+descendants share *)
+                      ( "percent_time",
+                        Float
+                          (if p.total_time > 0.0 then
+                             100.0 *. self /. p.total_time
+                           else 0.0) );
+                      ("self_seconds", Float self);
+                      ("cumulative_seconds", Float cum);
+                      ("calls", Int calls);
+                    ])
+                (Flat.rows p)) );
+         ("graph", List (List.map (jgraph_entry p) (Array.to_list p.order)));
+         ( "cycles",
+           List
+             (List.map
+                (fun (c : Profile.cycle_entry) ->
+                  J.Obj
+                    [
+                      ("number", Int c.c_no);
+                      ("members", jnames p c.c_members);
+                      ("self_seconds", Float c.c_self);
+                      ("descendant_seconds", Float c.c_child);
+                      ("calls", Int c.c_calls);
+                      ("intra_calls", Int c.c_intra_calls);
+                    ])
+                (Array.to_list p.cycles)) );
+         ("never_called", jnames p p.never_called);
+       ])
+  ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Timeline digest                                                     *)

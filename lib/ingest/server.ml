@@ -219,91 +219,70 @@ let counter_value name =
 let health_json ctx =
   let store = Ingest.store ctx.ingest in
   let s = Store.stats store in
-  let shards = Store.shard_info store in
-  let buf = Buffer.create 1024 in
-  let j = Obs.Jsonbuf.int buf in
-  Obs.Jsonbuf.obj buf
-    [
-      ("version", fun () -> Obs.Jsonbuf.escape buf version);
-      ("pid", fun () -> j (Unix.getpid ()));
-      ( "uptime",
-        fun () ->
-          Buffer.add_string buf
-            (Printf.sprintf "%.3f" (Unix.gettimeofday () -. ctx.started)) );
-      ( "queue",
-        fun () ->
-          Obs.Jsonbuf.obj buf
-            [
-              ("pending", fun () -> j (Ingest.pending ctx.ingest));
-              ("cap", fun () -> j (Ingest.queue_cap ctx.ingest));
-            ] );
-      ( "conns",
-        fun () ->
-          Obs.Jsonbuf.obj buf
-            [
-              ("active", fun () -> j ctx.active_conns);
-              ("max", fun () -> j ctx.cfg.max_conns);
-            ] );
-      ( "store",
-        fun () ->
-          Obs.Jsonbuf.obj buf
-            [
-              ("shards", fun () -> j s.Store.st_shards);
-              ("segments", fun () -> j s.Store.st_segments);
-              ("sprof_segments", fun () -> j s.Store.st_sprof_segments);
-              ("total_runs", fun () -> j s.Store.st_total_runs);
-              ("sprof_runs", fun () -> j s.Store.st_sprof_runs);
-              ("quarantined", fun () -> j s.Store.st_quarantined);
-              ("disk_bytes", fun () -> j s.Store.st_disk_bytes);
-              ("last_compact_seq", fun () -> j (Store.last_compact_seq store));
-              ( "per_shard",
-                fun () ->
-                  Obs.Jsonbuf.arr buf shards (fun si ->
-                      Obs.Jsonbuf.obj buf
-                        [
-                          ("shard", fun () -> j si.Store.si_index);
-                          ("segments", fun () -> j si.Store.si_segments);
-                          ( "sprof_segments",
-                            fun () -> j si.Store.si_sprof_segments );
-                          ("compact_seq", fun () -> j si.Store.si_compact_seq);
-                          ("scompact_seq", fun () -> j si.Store.si_scompact_seq);
-                        ]) );
-            ] );
-      ( "counters",
-        fun () ->
-          Obs.Jsonbuf.obj buf
-            (List.map
-               (fun (k, name) -> (k, fun () -> j (counter_value name)))
-               [
-                 ("requests", "profd.requests");
-                 ("accepted", "profd.conn.accepted");
-                 ("refused", "profd.conn.refused");
-                 ("deadline_closed", "profd.conn.deadline_closed");
-                 ("torn", "profd.conn.torn");
-                 ("shed", "profd.shed.overload");
-                 ("dedup_hits", "profd.dedup.hits");
-                 ("submitted", "ingest.submitted");
-                 ("quarantined", "ingest.quarantined");
-                 ("bytes_read", "profd.bytes.read");
-                 ("bytes_written", "profd.bytes.written");
-               ]) );
-      ( "telemetry",
-        fun () ->
-          Obs.Jsonbuf.obj buf
-            [
-              ( "enabled",
-                fun () ->
-                  Buffer.add_string buf
-                    (if ctx.telemetry <> None then "true" else "false") );
-              ( "interval",
-                fun () ->
-                  Buffer.add_string buf
-                    (Printf.sprintf "%g" ctx.cfg.telemetry_interval) );
-              ("records", fun () -> j (counter_value "profd.telemetry.records"));
-            ] );
-      ("log", fun () -> Obs.Jsonbuf.obj buf [ ("seq", fun () -> j (Obs.Eventlog.seq ctx.events)) ]);
-    ];
-  Buffer.contents buf
+  let shard si : Obs.Jsonin.value =
+    Obj
+      [
+        ("shard", Int si.Store.si_index);
+        ("segments", Int si.Store.si_segments);
+        ("sprof_segments", Int si.Store.si_sprof_segments);
+        ("compact_seq", Int si.Store.si_compact_seq);
+        ("scompact_seq", Int si.Store.si_scompact_seq);
+      ]
+  in
+  let counter (k, name) = (k, Obs.Jsonin.Int (counter_value name)) in
+  Obs.Jsonin.print
+    (Obj
+       [
+         ("version", Str version);
+         ("pid", Int (Unix.getpid ()));
+         ("uptime", Float (Unix.gettimeofday () -. ctx.started));
+         ( "queue",
+           Obj
+             [
+               ("pending", Int (Ingest.pending ctx.ingest));
+               ("cap", Int (Ingest.queue_cap ctx.ingest));
+             ] );
+         ( "conns",
+           Obj [ ("active", Int ctx.active_conns); ("max", Int ctx.cfg.max_conns) ]
+         );
+         ( "store",
+           Obj
+             [
+               ("shards", Int s.Store.st_shards);
+               ("segments", Int s.Store.st_segments);
+               ("sprof_segments", Int s.Store.st_sprof_segments);
+               ("total_runs", Int s.Store.st_total_runs);
+               ("sprof_runs", Int s.Store.st_sprof_runs);
+               ("quarantined", Int s.Store.st_quarantined);
+               ("disk_bytes", Int s.Store.st_disk_bytes);
+               ("last_compact_seq", Int (Store.last_compact_seq store));
+               ("per_shard", List (List.map shard (Store.shard_info store)));
+             ] );
+         ( "counters",
+           Obj
+             (List.map counter
+                [
+                  ("requests", "profd.requests");
+                  ("accepted", "profd.conn.accepted");
+                  ("refused", "profd.conn.refused");
+                  ("deadline_closed", "profd.conn.deadline_closed");
+                  ("torn", "profd.conn.torn");
+                  ("shed", "profd.shed.overload");
+                  ("dedup_hits", "profd.dedup.hits");
+                  ("submitted", "ingest.submitted");
+                  ("quarantined", "ingest.quarantined");
+                  ("bytes_read", "profd.bytes.read");
+                  ("bytes_written", "profd.bytes.written");
+                ]) );
+         ( "telemetry",
+           Obj
+             [
+               ("enabled", Bool (ctx.telemetry <> None));
+               ("interval", Float ctx.cfg.telemetry_interval);
+               ("records", Int (counter_value "profd.telemetry.records"));
+             ] );
+         ("log", Obj [ ("seq", Int (Obs.Eventlog.seq ctx.events)) ]);
+       ])
 
 (* --- request handling -------------------------------------------------- *)
 
@@ -374,13 +353,20 @@ let handle_request ctx ~drain req =
     match flush_for_query () with
     | Error e -> Resp_err e
     | Ok () ->
-      let s = Store.stats store in
       Resp_ok
-        (Printf.sprintf
-           "{\"store\":%s,\"queue\":{\"pending\":%d,\"cap\":%d},\"conns\":{\"active\":%d}}\n"
-           (Store.stats_to_json s)
-           (Ingest.pending ctx.ingest)
-           (Ingest.queue_cap ctx.ingest) ctx.active_conns))
+        (Obs.Jsonin.print
+           (Obj
+              [
+                ("store", Store.stats_json (Store.stats store));
+                ( "queue",
+                  Obj
+                    [
+                      ("pending", Int (Ingest.pending ctx.ingest));
+                      ("cap", Int (Ingest.queue_cap ctx.ingest));
+                    ] );
+                ("conns", Obj [ ("active", Int ctx.active_conns) ]);
+              ])
+        ^ "\n"))
   | Query_metrics ->
     (* the live registry, in the exact shape --obs-metrics dumps at
        exit, so one parser (Obs.Snapshot.of_json) reads both *)

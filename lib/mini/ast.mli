@@ -72,8 +72,6 @@ val mk_stmt : ?loc:loc -> stmt_desc -> stmt
 val equal_expr : expr -> expr -> bool
 (** Structural equality ignoring locations. *)
 
-val equal_stmt : stmt -> stmt -> bool
-
 val equal_program : program -> program -> bool
 (** Structural equality ignoring locations; used by the
     parse-pretty-parse round-trip tests. *)

@@ -69,10 +69,6 @@ val group_name : int -> string
 (** Short name of a dispatch group.
     @raise Invalid_argument when out of range. *)
 
-val alu_name : alu -> string
-
-val syscall_name : syscall -> string
-
 val to_string : t -> string
 (** One-line textual form, parseable by {!of_string}. *)
 

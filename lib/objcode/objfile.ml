@@ -122,7 +122,8 @@ let validate o =
       | Pcount f ->
         if f < 0 || f >= Array.length o.symbols then
           err "pcount id %d at %d out of range" f pc
-      | Nop | Const _ | Load _ | Store _ | Alu _ | Unop _ | Calli _ | Enter _
+      | Enter n -> if n < 0 then err "enter at %d has negative local count %d" pc n
+      | Nop | Const _ | Load _ | Store _ | Alu _ | Unop _ | Calli _
       | Mcount | Ret | Pop | Syscall _ | Halt -> ())
     o.text;
   match List.rev !errs with [] -> Ok () | es -> Error es

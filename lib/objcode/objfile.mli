@@ -57,7 +57,9 @@ val validate : t -> (unit, string list) result
 (** Structural linting: symbols sorted, in range and non-overlapping;
     entry targets a symbol start; all jump targets fall inside the
     jumping function; all direct call and funref targets are symbol
-    starts, and direct calls pass a nonnegative argument count; global/array operand ids in range; array ids in range.
+    starts, and direct calls pass a nonnegative argument count;
+    [Enter] counts are nonnegative; global/array operand ids in
+    range; array ids in range.
     Returns all violations. *)
 
 val to_string : t -> string

@@ -18,18 +18,17 @@ let level_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type field =
   | S of string
   | I of int
   | F of float
   | B of bool
+
+let value_of_field : field -> Jsonin.value = function
+  | S s -> Str s
+  | I i -> Int i
+  | F f -> Float f
+  | B b -> Bool b
 
 type sink = Silent | Stderr | Channel of out_channel
 
@@ -63,30 +62,16 @@ let event ?(level = Info) t kind fields =
   if would_log t level then begin
     let s = t.seq in
     t.seq <- s + 1;
-    let buf = Buffer.create 128 in
-    Jsonbuf.obj buf
-      ([
-         ("seq", fun () -> Jsonbuf.int buf s);
-         ( "ts",
-           fun () ->
-             Buffer.add_string buf
-               (Printf.sprintf "%.6f" (Unix.gettimeofday ())) );
-         ("level", fun () -> Jsonbuf.escape buf (level_to_string level));
-         ("event", fun () -> Jsonbuf.escape buf kind);
-       ]
-      @ List.map
-          (fun (k, v) ->
-            ( k,
-              fun () ->
-                match v with
-                | S s -> Jsonbuf.escape buf s
-                | I i -> Jsonbuf.int buf i
-                | F f -> Buffer.add_string buf (Printf.sprintf "%.6f" f)
-                | B b -> Buffer.add_string buf (if b then "true" else "false")
-            ))
-          fields);
-    Buffer.add_char buf '\n';
-    let line = Buffer.contents buf in
+    let line =
+      Jsonin.print
+        (Obj
+           (("seq", Int s)
+           :: ("ts", Float (Unix.gettimeofday ()))
+           :: ("level", Str (level_to_string level))
+           :: ("event", Str kind)
+           :: List.map (fun (k, v) -> (k, value_of_field v)) fields))
+      ^ "\n"
+    in
     (* one write per record: lines stay atomic under concurrent
        connection handling and (for short lines) concurrent appenders *)
     match t.sink with

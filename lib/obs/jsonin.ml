@@ -1,9 +1,11 @@
-(* Minimal JSON parsing — the read-side twin of Jsonbuf. The obs layer
-   emits JSON (metrics snapshots, telemetry records, event lines) and
-   increasingly needs to read its own output back: Snapshot.of_json,
-   the telemetry replayer, and proftop all parse what Jsonbuf wrote.
-   A recursive-descent parser over the whole value grammar keeps that
-   loop closed without a JSON library in the image. *)
+(* The JSON value, its one parser and its one printer. Every JSON
+   document the tools write (reports, lint findings, metrics, traces,
+   events, telemetry) is built as a [value] and printed here, and
+   everything the obs layer reads back (Snapshot.of_json, the
+   telemetry replayer, proftop) is parsed here, so print and parse
+   agree on one grammar and one float format. No JSON library is in
+   the image; a recursive-descent parser over the whole value grammar
+   is small enough to own. *)
 
 type value =
   | Null
@@ -49,7 +51,7 @@ let parse_exn s =
   in
   (* Decoded \uXXXX code points are re-encoded as UTF-8, so a string
      round-trips through escape/parse byte-for-byte only when it was
-     valid UTF-8; Jsonbuf only \u-escapes control bytes (< 0x20),
+     valid UTF-8; [print] only \u-escapes control bytes (< 0x20),
      which land in the single-byte range and always round-trip. *)
   let add_utf8 buf cp =
     if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
@@ -193,6 +195,71 @@ let parse s =
   | exception Bad (msg, off) ->
     Error (Printf.sprintf "JSON parse error at byte %d: %s" off msg)
   | exception Failure msg -> Error (Printf.sprintf "JSON parse error: %s" msg)
+
+(* --- printing ------------------------------------------------------------ *)
+
+let escape buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* Compact, no whitespace. Floats always carry six fractional digits
+   and never an exponent, so a Float prints with a '.' and parses back
+   as a Float, and print (parse (print v)) = print v for every finite
+   float. *)
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (Printf.sprintf "%.6f" f)
+  | Str s -> escape buf s
+  | List vs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        write buf v)
+      vs;
+    Buffer.add_char buf ']'
+  | Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        escape buf k;
+        Buffer.add_char buf ':';
+        write buf v)
+      fields;
+    Buffer.add_char buf '}'
+
+let print v =
+  let buf = Buffer.create 1024 in
+  write buf v;
+  Buffer.contents buf
+
+let save path v =
+  let write oc = output_string oc (print v) in
+  (* /dev/stdout via open_out would write through a second fd whose
+     offset races the buffered report already on stdout; route it (and
+     "-") through the stdout channel instead. *)
+  if path = "-" || path = "/dev/stdout" then begin
+    write stdout;
+    flush stdout
+  end
+  else
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
 
 (* --- accessors --------------------------------------------------------- *)
 

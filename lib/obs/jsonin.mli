@@ -1,6 +1,11 @@
-(** Minimal JSON parsing — the read-side twin of {!Jsonbuf}, used by
-    {!Snapshot.of_json}, the telemetry replayer, and proftop to read
-    back what the obs layer wrote. *)
+(** The JSON value with its one parser and its one printer.
+
+    Every JSON document the tools write is built as a {!value} and
+    printed by {!print}: compact, no whitespace, one float format
+    (six fractional digits, never an exponent). {!parse} reads any
+    JSON back, so [print (parse_exn (print v)) = print v] for every
+    value with finite floats, and [parse_exn (print v) = v] when [v]
+    holds no [Float]. *)
 
 type value =
   | Null
@@ -20,6 +25,18 @@ val parse_exn : string -> value
     @raise Bad on malformed input. *)
 
 val parse : string -> (value, string) result
+
+(** {1 Printing} *)
+
+val print : value -> string
+(** Compact JSON. Strings escape the double quote, the backslash and
+    every byte below 0x20 (newline, return and tab by letter, the rest
+    as a 4-digit [u] escape); other bytes pass through. [Float f]
+    prints as [%.6f]. *)
+
+val save : string -> value -> unit
+(** Write {!print}'s output to a file; ["-"] or ["/dev/stdout"]
+    writes to stdout. *)
 
 (** {1 Accessors} — shallow, [None] on shape mismatch. *)
 

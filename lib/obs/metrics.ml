@@ -218,74 +218,49 @@ let dump t =
     (sorted t);
   Buffer.contents buf
 
-let to_json t =
-  let buf = Buffer.create 1024 in
-  let counters, gauges, hists =
-    List.fold_left
-      (fun (cs, gs, hs) (name, inst, _) ->
-        match inst with
-        | Counter c -> ((name, c) :: cs, gs, hs)
-        | Gauge g -> (cs, (name, g) :: gs, hs)
-        | Histogram h -> (cs, gs, (name, h) :: hs))
-      ([], [], []) (List.rev (sorted t))
+(* The registry's JSON shape, shared with Snapshot.to_value: one
+   object per instrument class, each name-sorted; histogram buckets
+   carry inclusive lo/hi bounds (hi = -1 for the unbounded top
+   bucket) and only nonzero buckets are listed. *)
+let json_of_views views =
+  let section pick = Jsonin.Obj (List.filter_map pick views) in
+  let bucket b c =
+    let lo, hi = hist_bucket_bounds b in
+    Jsonin.Obj
+      [
+        ("lo", Int lo);
+        ("hi", Int (if hi = max_int then -1 else hi));
+        ("count", Int c);
+      ]
   in
-  Jsonbuf.obj buf
+  Jsonin.Obj
     [
       ( "counters",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map
-               (fun (n, c) -> (n, fun () -> Jsonbuf.int buf c.c_value))
-               counters) );
+        section (function n, View_counter v -> Some (n, Jsonin.Int v) | _ -> None) );
       ( "gauges",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map (fun (n, g) -> (n, fun () -> Jsonbuf.int buf g.g_value)) gauges)
-      );
+        section (function n, View_gauge v -> Some (n, Jsonin.Int v) | _ -> None) );
       ( "histograms",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map
-               (fun (n, h) ->
-                 ( n,
-                   fun () ->
-                     let buckets =
-                       Array.to_list
-                         (Array.mapi (fun b c -> (b, c)) h.h_buckets)
-                       |> List.filter (fun (_, c) -> c > 0)
-                     in
-                     Jsonbuf.obj buf
-                       [
-                         ("count", fun () -> Jsonbuf.int buf h.h_count);
-                         ("sum", fun () -> Jsonbuf.int buf h.h_sum);
-                         ("max", fun () -> Jsonbuf.int buf h.h_max);
-                         ( "buckets",
-                           fun () ->
-                             Jsonbuf.arr buf buckets (fun (b, c) ->
-                                 let lo, hi = hist_bucket_bounds b in
-                                 Jsonbuf.obj buf
-                                   [
-                                     ("lo", fun () -> Jsonbuf.int buf lo);
-                                     ( "hi",
-                                       fun () ->
-                                         Jsonbuf.int buf (if hi = max_int then -1 else hi)
-                                     );
-                                     ("count", fun () -> Jsonbuf.int buf c);
-                                   ]) );
-                       ] ))
-               hists) );
-    ];
-  Buffer.contents buf
+        section (function
+          | n, View_histogram h ->
+            let buckets =
+              List.filter_map
+                (fun b ->
+                  let c = h.v_buckets.(b) in
+                  if c > 0 then Some (bucket b c) else None)
+                (List.init n_hist_buckets Fun.id)
+            in
+            Some
+              ( n,
+                Jsonin.Obj
+                  [
+                    ("count", Int h.v_count);
+                    ("sum", Int h.v_sum);
+                    ("max", Int h.v_max);
+                    ("buckets", List buckets);
+                  ] )
+          | _ -> None) );
+    ]
 
-let save t path =
-  let write oc = output_string oc (to_json t) in
-  (* /dev/stdout via open_out would write through a second fd whose
-     offset races the buffered report already on stdout; route it (and
-     "-") through the stdout channel instead. *)
-  if path = "-" || path = "/dev/stdout" then begin
-    write stdout;
-    flush stdout
-  end
-  else
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
+let to_json t = Jsonin.print (json_of_views (views t))
+
+let save t path = Jsonin.save path (json_of_views (views t))

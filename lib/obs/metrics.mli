@@ -101,10 +101,14 @@ val dump : t -> string
 (** Human-readable listing, sorted by name; histogram buckets are
     printed with their value ranges. *)
 
+val json_of_views : (string * view) list -> Jsonin.value
+(** [{"counters":{...},"gauges":{...},"histograms":{...}}], each
+    class in list order; histogram buckets carry inclusive [lo]/[hi]
+    bounds ([hi] = -1 for the unbounded top bucket), nonzero ones
+    only. *)
+
 val to_json : t -> string
-(** [{"counters":{...},"gauges":{...},"histograms":{...}}]; histogram
-    buckets carry inclusive [lo]/[hi] bounds ([hi] = -1 for the
-    unbounded top bucket). *)
+(** {!json_of_views} of {!views}, printed. *)
 
 val save : t -> string -> unit
 (** Write {!to_json} to a file; ["-"] or ["/dev/stdout"] writes to

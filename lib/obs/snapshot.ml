@@ -56,52 +56,22 @@ let find_hist t name = List.assoc_opt name t.histograms
 
 (* --- JSON, both directions --------------------------------------------- *)
 
-(* Byte-identical to Metrics.to_json over the same state: same field
-   order (name-sorted within each class), same bucket encoding
-   (inclusive lo/hi, hi = -1 for the unbounded top bucket). *)
-let to_json t =
-  let buf = Buffer.create 1024 in
-  Jsonbuf.obj buf
-    [
-      ( "counters",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map (fun (n, v) -> (n, fun () -> Jsonbuf.int buf v)) t.counters)
-      );
-      ( "gauges",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map (fun (n, v) -> (n, fun () -> Jsonbuf.int buf v)) t.gauges)
-      );
-      ( "histograms",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map
-               (fun (n, h) ->
-                 ( n,
-                   fun () ->
-                     Jsonbuf.obj buf
-                       [
-                         ("count", fun () -> Jsonbuf.int buf h.h_count);
-                         ("sum", fun () -> Jsonbuf.int buf h.h_sum);
-                         ("max", fun () -> Jsonbuf.int buf h.h_max);
-                         ( "buckets",
-                           fun () ->
-                             Jsonbuf.arr buf h.h_buckets (fun (b, c) ->
-                                 let lo, hi = Metrics.hist_bucket_bounds b in
-                                 Jsonbuf.obj buf
-                                   [
-                                     ("lo", fun () -> Jsonbuf.int buf lo);
-                                     ( "hi",
-                                       fun () ->
-                                         Jsonbuf.int buf
-                                           (if hi = max_int then -1 else hi) );
-                                     ("count", fun () -> Jsonbuf.int buf c);
-                                   ]) );
-                       ] ))
-               t.histograms) );
-    ];
-  Buffer.contents buf
+(* The registry's own shape (Metrics.json_of_views), so the output is
+   byte-identical to Metrics.to_json over the same state. *)
+let to_value t =
+  let hist (n, h) =
+    let buckets = Array.make Metrics.n_hist_buckets 0 in
+    List.iter (fun (b, c) -> buckets.(b) <- c) h.h_buckets;
+    ( n,
+      Metrics.View_histogram
+        { v_count = h.h_count; v_sum = h.h_sum; v_max = h.h_max; v_buckets = buckets } )
+  in
+  Metrics.json_of_views
+    (List.map (fun (n, v) -> (n, Metrics.View_counter v)) t.counters
+    @ List.map (fun (n, v) -> (n, Metrics.View_gauge v)) t.gauges
+    @ List.map hist t.histograms)
+
+let to_json t = Jsonin.print (to_value t)
 
 let of_value v =
   let ( let* ) = Result.bind in

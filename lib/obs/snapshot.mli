@@ -27,8 +27,12 @@ val empty : t
 val of_registry : Metrics.t -> t
 (** Capture every instrument's current value. *)
 
+val to_value : t -> Jsonin.value
+(** {!Metrics.json_of_views} of the snapshot's instruments. *)
+
 val to_json : t -> string
-(** Byte-identical to {!Metrics.to_json} over the same state. *)
+(** [to_value], printed: byte-identical to {!Metrics.to_json} over the
+    same state. *)
 
 val of_json : string -> (t, string) result
 (** Parse what {!to_json} (or {!Metrics.to_json}) wrote. *)

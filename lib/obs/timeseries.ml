@@ -27,12 +27,28 @@ type record = { r_seq : int; r_ts : float; r_metrics : Snapshot.t }
 
 let prefix_len = String.length {|{"crc":"0123456789abcdef","rec":|}
 
+(* The line is printed once with a placeholder crc; the crc is then
+   taken over the printed rec bytes and written over the placeholder,
+   which has the same fixed width. *)
 let encode_line ~seq ~ts snapshot =
-  let rec_json =
-    Printf.sprintf {|{"seq":%d,"ts":%.6f,"metrics":%s}|} seq ts
-      (Snapshot.to_json snapshot)
+  let line =
+    Bytes.of_string
+      (Jsonin.print
+         (Obj
+            [
+              ("crc", Str "0000000000000000");
+              ( "rec",
+                Obj
+                  [
+                    ("seq", Int seq);
+                    ("ts", Float ts);
+                    ("metrics", Snapshot.to_value snapshot);
+                  ] );
+            ]))
   in
-  Printf.sprintf {|{"crc":"%016Lx","rec":%s}|} (fnv64 rec_json) rec_json
+  let rec_json = Bytes.sub_string line prefix_len (Bytes.length line - prefix_len - 1) in
+  Bytes.blit_string (Printf.sprintf "%016Lx" (fnv64 rec_json)) 0 line 8 16;
+  Bytes.unsafe_to_string line
 
 let decode_line line =
   let n = String.length line in

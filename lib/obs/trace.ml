@@ -107,50 +107,28 @@ let span_count t = List.length t.events
 
 (* Chrome trace_event format: complete ("X") events, one process, one
    thread. Loadable in chrome://tracing and ui.perfetto.dev. *)
-let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Jsonbuf.obj buf
-    [
-      ("displayTimeUnit", fun () -> Jsonbuf.escape buf "ms");
-      ( "traceEvents",
-        fun () ->
-          Jsonbuf.arr buf (spans t) (fun s ->
-              Jsonbuf.obj buf
-                ([
-                   ("name", fun () -> Jsonbuf.escape buf s.s_name);
-                   ("cat", fun () -> Jsonbuf.escape buf s.s_cat);
-                   ("ph", fun () -> Jsonbuf.escape buf "X");
-                   ("ts", fun () -> Jsonbuf.float buf s.s_start_us);
-                   ("dur", fun () -> Jsonbuf.float buf s.s_dur_us);
-                   ("pid", fun () -> Jsonbuf.int buf 1);
-                   ("tid", fun () -> Jsonbuf.int buf 1);
-                 ]
-                @
-                if s.s_args = [] then []
-                else
-                  [
-                    ( "args",
-                      fun () ->
-                        Jsonbuf.obj buf
-                          (List.map
-                             (fun (k, v) -> (k, fun () -> Jsonbuf.escape buf v))
-                             s.s_args) );
-                  ])) );
-    ];
-  Buffer.contents buf
+let chrome_value t =
+  let event s =
+    Jsonin.Obj
+      ([
+         ("name", Jsonin.Str s.s_name);
+         ("cat", Str s.s_cat);
+         ("ph", Str "X");
+         ("ts", Float s.s_start_us);
+         ("dur", Float s.s_dur_us);
+         ("pid", Int 1);
+         ("tid", Int 1);
+       ]
+      @
+      if s.s_args = [] then []
+      else [ ("args", Obj (List.map (fun (k, v) -> (k, Jsonin.Str v)) s.s_args)) ])
+  in
+  Jsonin.Obj
+    [ ("displayTimeUnit", Str "ms"); ("traceEvents", List (List.map event (spans t))) ]
 
-let save_chrome t path =
-  let write oc = output_string oc (to_chrome_json t) in
-  (* /dev/stdout via open_out would write through a second fd whose
-     offset races the buffered report already on stdout; route it (and
-     "-") through the stdout channel instead. *)
-  if path = "-" || path = "/dev/stdout" then begin
-    write stdout;
-    flush stdout
-  end
-  else
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
+let to_chrome_json t = Jsonin.print (chrome_value t)
+
+let save_chrome t path = Jsonin.save path (chrome_value t)
 
 let summary t =
   let buf = Buffer.create 512 in

@@ -755,14 +755,20 @@ let last_compact_seq t =
       max acc (max sh.sh_arcs.tr_compact_seq sh.sh_sampled.tr_compact_seq))
     0 t.shards
 
-let stats_to_json s =
-  Printf.sprintf
-    "{\"shards\":%d,\"segments\":%d,\"compacted_runs\":%d,\"total_runs\":%d,\
-     \"sprof_segments\":%d,\"sprof_runs\":%d,\
-     \"quarantined\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"disk_bytes\":%d}"
-    s.st_shards s.st_segments s.st_compacted_runs s.st_total_runs
-    s.st_sprof_segments s.st_sprof_runs s.st_quarantined s.st_cache_hits
-    s.st_cache_misses s.st_disk_bytes
+let stats_json s : Obs.Jsonin.value =
+  Obj
+    [
+      ("shards", Int s.st_shards);
+      ("segments", Int s.st_segments);
+      ("compacted_runs", Int s.st_compacted_runs);
+      ("total_runs", Int s.st_total_runs);
+      ("sprof_segments", Int s.st_sprof_segments);
+      ("sprof_runs", Int s.st_sprof_runs);
+      ("quarantined", Int s.st_quarantined);
+      ("cache_hits", Int s.st_cache_hits);
+      ("cache_misses", Int s.st_cache_misses);
+      ("disk_bytes", Int s.st_disk_bytes);
+    ]
 
 (* --- merged-view queries ---------------------------------------------- *)
 

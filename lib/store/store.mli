@@ -141,7 +141,8 @@ type stats = {
 
 val stats : t -> stats
 
-val stats_to_json : stats -> string
+val stats_json : stats -> Obs.Jsonin.value
+(** Every field, in declaration order, keyed without the [st_] prefix. *)
 
 type shard_info = {
   si_index : int;

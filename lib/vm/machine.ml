@@ -619,6 +619,7 @@ let exec m ~stop_at =
           m.pc <- pc + 1
         | Instr.Enter extra ->
           if extra < 0 then raise (Fault "negative local count");
+          if extra > Sys.max_array_length - m.lp then raise (Fault "local count too large");
           let lp = m.lp + extra in
           ensure_locals m lp;
           for i = m.lp to lp - 1 do

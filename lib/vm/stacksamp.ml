@@ -5,13 +5,12 @@
    how many samples hit it — the folded representation every consumer
    (sprof container, flame export, stackprof) wants anyway. *)
 
-type slot = { sl_id : int; sl_stack : int array; mutable sl_count : int }
+type slot = { sl_stack : int array; mutable sl_count : int }
 
 type t = {
   interval : int;
   capacity : int;
   tbl : (int array, slot) Hashtbl.t;
-  mutable next_id : int;
   mutable tick : int;
   mutable taken : int;
   mutable skipped : int;
@@ -38,7 +37,6 @@ let create ?(capacity = default_capacity) ~interval () =
     interval;
     capacity;
     tbl = Hashtbl.create 256;
-    next_id = 0;
     tick = 0;
     taken = 0;
     skipped = 0;
@@ -67,9 +65,7 @@ let on_tick t ~stack =
            so the cost below is still charged. *)
         t.skipped <- t.skipped + 1
       else begin
-        let slot = { sl_id = t.next_id; sl_stack = Array.copy stack;
-                     sl_count = 1 } in
-        t.next_id <- t.next_id + 1;
+        let slot = { sl_stack = Array.copy stack; sl_count = 1 } in
         Hashtbl.replace t.tbl slot.sl_stack slot;
         t.taken <- t.taken + 1;
         if depth > t.max_depth then t.max_depth <- depth;
@@ -92,9 +88,6 @@ let folded t =
   Hashtbl.fold (fun _ s acc -> (s.sl_stack, s.sl_count) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_stack a b)
 
-let id_of_stack t stack =
-  Option.map (fun s -> s.sl_id) (Hashtbl.find_opt t.tbl stack)
-
 let n_samples t = t.taken
 
 let n_skipped t = t.skipped
@@ -115,7 +108,6 @@ let observe t reg =
 
 let reset t =
   Hashtbl.reset t.tbl;
-  t.next_id <- 0;
   t.tick <- 0;
   t.taken <- 0;
   t.skipped <- 0;

@@ -752,6 +752,8 @@ module Machine = struct
           | Instr.Enter extra ->
             let fr = cur_frame m in
             if extra < 0 then raise (Fault "negative local count");
+            if extra > Sys.max_array_length - Array.length fr.locals then
+              raise (Fault "local count too large");
             if extra > 0 then begin
               let bigger = Array.make (Array.length fr.locals + extra) 0 in
               Array.blit fr.locals 0 bigger 0 (Array.length fr.locals);

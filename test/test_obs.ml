@@ -347,12 +347,9 @@ let test_pipeline_spans () =
       "propagate"; "report"; "flat"; "graph"; "index" ]
 
 (* ------------------------------------------------------------------ *)
-(* Jsonbuf/Jsonin: the emission/parse pair *)
+(* Jsonin: the print/parse pair *)
 
-let escape_str s =
-  let buf = Buffer.create 32 in
-  Obs.Jsonbuf.escape buf s;
-  Buffer.contents buf
+let escape_str s = Obs.Jsonin.print (Str s)
 
 let test_jsonbuf_escaping () =
   (* every control byte must come out as a valid JSON literal that
@@ -419,6 +416,53 @@ let test_jsonin_parser () =
         (Result.is_error (Obs.Jsonin.parse bad)))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "\"unterminated"; "1 2"; "nul";
       "\"bad \\x escape\""; "{\"a\" 1}" ]
+
+(* Random values: strings and keys full of control bytes, quotes and
+   backslashes, keys drawn from a tiny pool so objects repeat them,
+   the int extremes, nested lists and objects, and finite floats. *)
+let json_gen ~floats =
+  let open QCheck.Gen in
+  let str =
+    string_size (int_bound 8)
+      ~gen:(frequency [ (3, char); (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\031'; '\127' ]) ])
+  in
+  let key = frequency [ (2, oneofl [ "a"; "b" ]); (1, str) ] in
+  let finite f = if Float.is_finite f then f else 0.0 in
+  let scalar =
+    frequency
+      ([
+         (1, return Obs.Jsonin.Null);
+         (1, map (fun b -> Obs.Jsonin.Bool b) bool);
+         (2, map (fun i -> Obs.Jsonin.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]));
+         (2, map (fun s -> Obs.Jsonin.Str s) str);
+       ]
+      @
+      if floats then
+        [ (2, map (fun f -> Obs.Jsonin.Float (finite f)) (oneof [ float; float_range (-1e4) 1e4 ])) ]
+      else [])
+  in
+  sized
+    (fix (fun self n ->
+         if n <= 1 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Obs.Jsonin.List l) (list_size (int_bound 4) (self (n / 4))));
+               (1, map (fun l -> Obs.Jsonin.Obj l) (list_size (int_bound 4) (pair key (self (n / 4)))));
+             ]))
+
+let qcheck_print_parse_print =
+  QCheck.Test.make ~name:"print (parse (print v)) = print v" ~count:1000
+    (QCheck.make ~print:Obs.Jsonin.print (json_gen ~floats:true))
+    (fun v ->
+      let s = Obs.Jsonin.print v in
+      Obs.Jsonin.print (Obs.Jsonin.parse_exn s) = s)
+
+let qcheck_parse_print =
+  QCheck.Test.make ~name:"parse (print v) = v without floats" ~count:1000
+    (QCheck.make ~print:Obs.Jsonin.print (json_gen ~floats:false))
+    (fun v -> Obs.Jsonin.parse_exn (Obs.Jsonin.print v) = v)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot: capture, serialize, parse back, subtract *)
@@ -688,6 +732,8 @@ let () =
         [
           Alcotest.test_case "escaping edge cases" `Quick test_jsonbuf_escaping;
           Alcotest.test_case "parser" `Quick test_jsonin_parser;
+          QCheck_alcotest.to_alcotest qcheck_print_parse_print;
+          QCheck_alcotest.to_alcotest qcheck_parse_print;
         ] );
       ( "snapshot",
         [

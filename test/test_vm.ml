@@ -442,6 +442,29 @@ let test_fault_negative_argument_count () =
     check_bool "validate rejects it" true (Result.is_error (Objcode.Objfile.validate o));
     expect_fault o "negative argument count"
 
+let test_fault_huge_local_count () =
+  (* [Enter max_int] must fault, not overflow the locals index. *)
+  let o =
+    assemble
+      [
+        asm_fun "f"
+          [ Objcode.Asm.Ins (Objcode.Asm.AEnter max_int);
+            Objcode.Asm.Ins (Objcode.Asm.ALoad 0);
+            Objcode.Asm.Ins Objcode.Asm.ARet ];
+        asm_fun "main"
+          [ Objcode.Asm.Ins (Objcode.Asm.AConst 1);
+            Objcode.Asm.Ins (Objcode.Asm.ACall ("f", 1));
+            Objcode.Asm.Ins Objcode.Asm.ARet ];
+      ]
+  in
+  expect_fault o "local count too large";
+  (* a negative count is static: validation rejects it *)
+  (match o.text.(o.symbols.(0).Objcode.Objfile.addr) with
+  | Objcode.Instr.Enter _ -> o.text.(o.symbols.(0).addr) <- Objcode.Instr.Enter (-1)
+  | _ -> Alcotest.fail "expected Enter at f's entry");
+  check_bool "validate rejects Enter (-1)" true
+    (Result.is_error (Objcode.Objfile.validate o))
+
 let test_fault_depth_limit () =
   let o =
     assemble
@@ -743,6 +766,7 @@ let () =
           Alcotest.test_case "local out of range" `Quick test_fault_local_out_of_range;
           Alcotest.test_case "negative argument count" `Quick
             test_fault_negative_argument_count;
+          Alcotest.test_case "huge local count" `Quick test_fault_huge_local_count;
           Alcotest.test_case "depth limit" `Quick test_fault_depth_limit;
           Alcotest.test_case "cycle limit" `Quick test_fault_cycle_limit;
         ] );

@@ -255,6 +255,15 @@ let test_depth_limit () =
   expect ~config:{ default with max_depth = 50; oracle = true } "depth limit" o
     "fault at pc 1: call depth limit exceeded"
 
+let test_huge_local_count () =
+  let o =
+    assemble
+      [ asm_fun "f" [ A.AEnter max_int; A.ALoad 0; A.ARet ];
+        asm_fun "main" [ A.AConst 1; A.ACall ("f", 1); A.ARet ] ]
+  in
+  expect "Enter max_int" o
+    (Printf.sprintf "fault at pc %d: local count too large" o.symbols.(0).Objcode.Objfile.addr)
+
 let test_fault_after_zero () =
   let o = compile_workload Workloads.Programs.quick in
   expect ~config:{ default with fault_after_instr = Some 0 } "fault_after_instr = 0" o
@@ -292,6 +301,7 @@ let () =
           Alcotest.test_case "underflow in call arguments" `Quick test_underflow_in_call_args;
           Alcotest.test_case "pc outside text" `Quick test_pc_outside_text;
           Alcotest.test_case "depth limit" `Quick test_depth_limit;
+          Alcotest.test_case "Enter max_int" `Quick test_huge_local_count;
           Alcotest.test_case "fault_after_instr = 0" `Quick test_fault_after_zero;
           Alcotest.test_case "cycle cap hit exactly" `Quick test_cycle_cap_exact;
           Alcotest.test_case "run_cycles slices" `Quick test_slices;
